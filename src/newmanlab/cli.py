@@ -18,11 +18,11 @@ from .concentration import (
     tail_bound,
 )
 from .experiment import (
-    TRIAL_COLUMNS,
-    record_from_trial,
     emit_results,
     parse_campaign_file,
+    record_from_trial,
     run_campaign,
+    trial_table_text,
 )
 from .poly import NewmanPolynomial, format_polynomial, metrics, parse_polynomial, square
 from .search import SearchSpec, exhaustive_search, local_search
@@ -157,13 +157,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         record_from_trial(t, sample(p, config, t, p_square_height=p_height))
         for t in range(args.trials)
     ]
-    if args.format == "json":
-        rows = [dict(zip(TRIAL_COLUMNS, r.to_csv_row())) for r in records]
-        _emit(json.dumps(rows, indent=2), args.out)
-    else:
-        lines = [",".join(TRIAL_COLUMNS)]
-        lines.extend(",".join(r.to_csv_row()) for r in records)
-        _emit("\n".join(lines), args.out)
+    _emit(trial_table_text(records, args.format), args.out)
     return 0
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "record_from_trial",
     "parse_campaign_file",
     "run_campaign",
+    "trial_table_text",
     "emit_results",
 ]
 
@@ -326,19 +327,14 @@ def _family_polynomial(config: CampaignConfig, degree: int) -> NewmanPolynomial:
 
 
 def record_from_trial(trial_index: int, trial: SparsifyTrial) -> TrialRecord:
-    flags = trial.flags
-    if trial.q_metrics is None:
-        return TrialRecord(
-            trial_index=trial_index, trial_seed=trial.trial_seed, l1_q=0,
-            deg_q=None, height_q2=None, ratio=None, product=None,
-            flag_E=flags.E, flag_D=flags.D,
-            num_Ek=len(flags.E_k_indices),
-            first_Ek_index=flags.E_k_indices[0] if flags.E_k_indices else None,
-        )
-    rep = trial.q_metrics
+    flags, rep = trial.flags, trial.q_metrics
+    l1_q, deg_q, height_q2, ratio, product = (
+        (0, None, None, None, None) if rep is None
+        else (rep.l1, rep.degree, rep.height, rep.ratio, rep.product)
+    )
     return TrialRecord(
-        trial_index=trial_index, trial_seed=trial.trial_seed, l1_q=rep.l1,
-        deg_q=rep.degree, height_q2=rep.height, ratio=rep.ratio, product=rep.product,
+        trial_index=trial_index, trial_seed=trial.trial_seed, l1_q=l1_q,
+        deg_q=deg_q, height_q2=height_q2, ratio=ratio, product=product,
         flag_E=flags.E, flag_D=flags.D,
         num_Ek=len(flags.E_k_indices),
         first_Ek_index=flags.E_k_indices[0] if flags.E_k_indices else None,
@@ -456,6 +452,14 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trial_table_text(records: list[TrialRecord], format: str) -> str:
+    """One trial table in `format` ("csv" or "json"), as the campaign writes it."""
+    rows = [r.to_csv_row() for r in records]
+    if format == "csv":
+        return _csv_text(TRIAL_COLUMNS, rows)
+    return json.dumps([dict(zip(TRIAL_COLUMNS, row)) for row in rows], indent=2) + "\n"
+
+
 def emit_results(
     summary: CampaignSummary,
     format: Optional[str] = None,
@@ -489,18 +493,9 @@ def emit_results(
 
     trial_files: dict[str, str] = {}
     for degree in summary.config.degree_ladder:
-        records = summary.trials.get(degree, [])
-        if fmt == "csv":
-            name = f"trials_degree_{degree}.csv"
-            text = _csv_text(TRIAL_COLUMNS, [r.to_csv_row() for r in records])
-        else:
-            name = f"trials_degree_{degree}.json"
-            text = json.dumps(
-                [dict(zip(TRIAL_COLUMNS, r.to_csv_row())) for r in records],
-                indent=2,
-            ) + "\n"
+        name = f"trials_degree_{degree}.{fmt}"
         path = os.path.join(out_dir, name)
-        _write_text(path, text)
+        _write_text(path, trial_table_text(summary.trials.get(degree, []), fmt))
         trial_files[str(degree)] = name
     paths["trials"] = out_dir
 

@@ -5,11 +5,15 @@ nonzero leading term; the square of such a polynomial has small nonnegative
 integer coefficients (never exceeding the term count), so every quantity in
 this module is computed exactly, with ratios carried as `Fraction`s.
 
-Squaring auto-selects a strategy by density: explicit support-pair
-accumulation while the pair count is small, otherwise a padded real FFT
-whose rounding is certified exact by an a-priori error bound, with a
-carry-free big-integer convolution as the fallback.  All strategies must
-agree bit-for-bit with `square_oracle`, the deliberately dumb reference.
+Squaring picks one of three strategies by the pair count l1**2, whatever
+the length: explicit support-pair accumulation while the pair count is
+small, otherwise a padded real FFT whose rounding is certified exact by an
+a-priori error bound, with a carry-free big-integer convolution as the
+fallback.  All strategies must agree bit-for-bit with `square_oracle`, the
+deliberately dumb literal double loop kept as the reference.
+
+Coefficients are checked once, by the `NewmanPolynomial` constructor;
+polynomials derived from checked ones skip it via `_trusted`.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ __all__ = [
 ORACLE_DEGREE_CAP = 10_000
 
 # Strategy thresholds for square().
-_TINY_LENGTH = 64        # below this many coefficients, plain Python loops win
 _PAIR_LIMIT = 4_000_000  # max support pairs routed through bincount
 _FFT_GUARD = 0.25        # certified rounding error must stay below this
 
@@ -52,16 +55,21 @@ class NewmanPolynomial:
     __slots__ = ("_coeffs", "_support")
 
     def __init__(self, coefficients: Sequence[int] | np.ndarray):
-        arr = np.asarray(coefficients, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("coefficients must be a nonempty one-dimensional sequence")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("coefficients must all be 0 or 1")
-        if arr[-1] != 1:
+        coeffs = as_zero_one(coefficients, "coefficients")
+        if coeffs[-1] != 1:
             raise ValueError("leading coefficient must be 1 (no trailing zeros)")
-        coeffs = arr.astype(np.uint8)
+        self._adopt(coeffs, np.flatnonzero(coeffs).astype(np.int64))
+
+    @classmethod
+    def _trusted(cls, coeffs: np.ndarray, support: np.ndarray) -> "NewmanPolynomial":
+        """Wrap uint8 0/1 `coeffs` ending in 1 and their int64 `support`
+        unchecked; both are frozen, not copied."""
+        p = object.__new__(cls)
+        p._adopt(coeffs, support)
+        return p
+
+    def _adopt(self, coeffs: np.ndarray, support: np.ndarray) -> None:
         coeffs.setflags(write=False)
-        support = np.flatnonzero(coeffs).astype(np.int64)
         support.setflags(write=False)
         self._coeffs = coeffs
         self._support = support
@@ -218,6 +226,20 @@ class RatioReport:
         }
 
 
+def as_zero_one(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """A fresh uint8 copy of `values`, after checking each one is 0 or 1.
+
+    The check runs on the values as given, before the narrowing cast, so
+    values that the cast would turn into 0 or 1 (256, 0.5) are rejected.
+    """
+    arr = np.asarray(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{what} must be a nonempty one-dimensional sequence")
+    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{what} must all be 0 or 1")
+    return arr.astype(np.uint8)
+
+
 def parse_polynomial(text: str, format: str = "exponent_list") -> NewmanPolynomial:
     """Parse a polynomial from text.
 
@@ -258,18 +280,6 @@ def format_polynomial(p: NewmanPolynomial, format: str = "exponent_list") -> str
 # ---------------------------------------------------------------------------
 # Squaring strategies.  All of them return plain int64 arrays of length
 # 2*degree + 1 and must agree exactly.
-
-
-def _square_python(coeffs: np.ndarray) -> np.ndarray:
-    c = coeffs.tolist()
-    n = len(c)
-    out = [0] * (2 * n - 1)
-    for i in range(n):
-        if c[i]:
-            for j in range(n):
-                if c[j]:
-                    out[i + j] += 1
-    return np.asarray(out, dtype=np.int64)
 
 
 def _square_pairs(support: np.ndarray, degree: int) -> np.ndarray:
@@ -318,8 +328,6 @@ def square(p: NewmanPolynomial) -> SquareCoefficients:
     """
     degree = p.degree
     l1 = p.l1
-    if degree + 1 <= _TINY_LENGTH:
-        return SquareCoefficients(_square_python(p.coefficients))
     if l1 * l1 <= _PAIR_LIMIT:
         return SquareCoefficients(_square_pairs(p.support, degree))
     out = _square_fft(p.coefficients, degree, l1)
@@ -336,7 +344,15 @@ def square_oracle(p: NewmanPolynomial) -> SquareCoefficients:
     """
     if p.degree > ORACLE_DEGREE_CAP:
         raise ValueError(f"oracle capped at degree {ORACLE_DEGREE_CAP}, got {p.degree}")
-    return SquareCoefficients(_square_python(p.coefficients))
+    c = p.coefficients.tolist()
+    n = len(c)
+    out = [0] * (2 * n - 1)
+    for i in range(n):
+        if c[i]:
+            for j in range(n):
+                if c[j]:
+                    out[i + j] += 1
+    return SquareCoefficients(out)
 
 
 def ratio_report(l1: int, degree: int, height: int) -> RatioReport:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .poly import (
     NewmanPolynomial,
     RatioReport,
     SquareCoefficients,
+    as_zero_one,
     metrics,
     ratio_report,
     square,
@@ -147,11 +148,7 @@ class KeepMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("mask must be a nonempty one-dimensional sequence")
-        if not np.isin(arr, (0, 1)).all():
-            raise ValueError("mask bits must all be 0 or 1")
+        arr = as_zero_one(self.bits, "mask bits")
         arr.setflags(write=False)
         self.bits = arr
 
@@ -353,6 +350,17 @@ def expected_l1_oracle(p: NewmanPolynomial, alpha: Fraction) -> Fraction:
     return sum((pw[w] * count for w, count in enumerate(L) if count), Fraction(0))
 
 
+def _half_sums(k: int, N: int, term: Callable[[int], int]) -> tuple[int, int]:
+    """Sums of term(j) over the two halves of the j-range of coefficient k.
+
+    j runs over the indices where both j and k-j lie in 0..N.  Odd k splits
+    it after floor(k/2); even k leaves the diagonal j = k/2 out of both.
+    """
+    half = k // 2
+    return (sum(term(j) for j in range(max(0, k - N), half + k % 2)),
+            sum(term(j) for j in range(half + 1, min(k, N) + 1)))
+
+
 def split_coefficient(
     p: NewmanPolynomial,
     mask: KeepMask,
@@ -365,29 +373,15 @@ def split_coefficient(
         raise ValueError(f"k must lie in 0..{2 * N}")
     if len(mask) != N + 1:
         raise ValueError("mask length must equal degree + 1")
-    c = p.coefficients
-    bits = mask.bits
-
-    def kept_product(j: int) -> int:
-        jj = k - j
-        if j > N or jj < 0 or jj > N:
-            return 0
-        return int(bits[j]) * int(c[j]) * int(bits[jj]) * int(c[jj])
-
+    c = p.coefficients.tolist()
+    kept = (p.coefficients & mask.bits).tolist()
+    first, second = _half_sums(k, N, lambda j: kept[j] * kept[k - j])
     if k % 2 == 1:
-        half = k // 2
-        first = sum(kept_product(j) for j in range(0, half + 1))
-        second = sum(kept_product(j) for j in range(half + 1, k + 1))
         return CoefficientSplit(k=k, parity="odd", first=first, second=second,
                                 diagonal=0, theta=Fraction(0))
     half = k // 2
-    first = sum(kept_product(j) for j in range(0, half))
-    second = sum(kept_product(j) for j in range(half + 1, k + 1))
-    diagonal = int(bits[half]) * int(c[half]) if half <= N else 0
-    if alpha is None:
-        theta: Probability = Fraction(0)
-    else:
-        theta = alpha * (1 - alpha) * (int(c[half]) ** 2 if half <= N else 0)
+    diagonal = kept[half]
+    theta = Fraction(0) if alpha is None else alpha * (1 - alpha) * c[half] ** 2
     return CoefficientSplit(k=k, parity="even", first=first, second=second,
                             diagonal=diagonal, theta=theta)
 
@@ -402,22 +396,8 @@ def classify_case(p: NewmanPolynomial, alpha: Probability, k: int) -> CaseLabel:
     N = p.degree
     if not 0 <= k <= 2 * N:
         raise ValueError(f"k must lie in 0..{2 * N}")
-    c = p.coefficients
-
-    def unit(j: int) -> int:
-        jj = k - j
-        if j > N or jj < 0 or jj > N:
-            return 0
-        return int(c[j]) * int(c[jj])
-
-    if k % 2 == 1:
-        half = k // 2
-        count_first = sum(unit(j) for j in range(0, half + 1))
-        count_second = sum(unit(j) for j in range(half + 1, k + 1))
-    else:
-        half = k // 2
-        count_first = sum(unit(j) for j in range(0, half))
-        count_second = sum(unit(j) for j in range(half + 1, k + 1))
+    c = p.coefficients.tolist()
+    count_first, count_second = _half_sums(k, N, lambda j: c[j] * c[k - j])
     mean_first = alpha * alpha * count_first
     mean_second = alpha * alpha * count_second
     threshold = Fraction(1) / alpha if isinstance(alpha, Fraction) else 1.0 / alpha
@@ -478,45 +458,57 @@ def case_a_exclusion_threshold(
 # Trials.
 
 
-def _exact_thresholds(
-    p: NewmanPolynomial, config: SparsifyConfig, p_square_height: int
-) -> tuple[Probability, Fraction, Fraction, int, Fraction]:
-    """(alpha, exact alpha, low-mass cutoff, integer height cutoff, degree cutoff)."""
-    alpha = alpha_of(p.degree, config.alpha_exponent)
+class _Cutoffs(NamedTuple):
+    """Exact event cutoffs for thinning one p with one config."""
+
+    alpha: Probability
+    low_mass: Fraction       # E: kept mass below this
+    height: int              # E_k: squared coefficient above this
+    degree: Fraction         # D: degree of q at most this
+    expected_mass: Fraction  # alpha * l1(p)
+    allowance: Fraction      # l1_deviation: |mass - expected_mass| above this
+
+
+@lru_cache(maxsize=64)
+def _cutoffs(degree: int, l1: int, p_square_height: int, config: SparsifyConfig) -> _Cutoffs:
+    # Keyed on numbers, not on p: hashing p would copy its coefficients.
+    alpha = alpha_of(degree, config.alpha_exponent)
     fa = Fraction(alpha)
     fe = Fraction(config.epsilon)
-    l1_cutoff = (1 - fe) * fa * p.l1
-    height_cutoff = math.floor((1 + fe) * fa * fa * p_square_height)
-    degree_cutoff = Fraction(config.c0, 2) * p.degree
-    return alpha, fa, l1_cutoff, height_cutoff, degree_cutoff
-
-
-def _flags_for(
-    p: NewmanPolynomial,
-    config: SparsifyConfig,
-    p_square_height: int,
-    q_l1: int,
-    q_degree: Optional[int],
-    q_square: Optional[SquareCoefficients],
-) -> BadEventFlags:
-    _, fa, l1_cutoff, height_cutoff, degree_cutoff = _exact_thresholds(p, config, p_square_height)
-    fe = Fraction(config.epsilon)
-    expected_mass = fa * p.l1
-    low_mass = Fraction(q_l1) < l1_cutoff
-    deviated = abs(Fraction(q_l1) - expected_mass) > fe * expected_mass
-    if q_square is None:
-        indices: tuple[int, ...] = ()
-    else:
-        overs = np.flatnonzero(q_square.coefficients > height_cutoff)
-        indices = tuple(int(k) for k in overs)
-    collapsed = q_degree is None or Fraction(q_degree) <= degree_cutoff
-    return BadEventFlags(
-        E=low_mass,
-        E_k_any=bool(indices),
-        E_k_indices=indices,
-        D=collapsed,
-        l1_deviation=deviated,
+    expected_mass = fa * l1
+    return _Cutoffs(
+        alpha=alpha,
+        low_mass=(1 - fe) * expected_mass,
+        height=math.floor((1 + fe) * fa * fa * p_square_height),
+        degree=Fraction(config.c0, 2) * degree,
+        expected_mass=expected_mass,
+        allowance=fe * expected_mass,
     )
+
+
+def _thin(
+    p: NewmanPolynomial, bits: np.ndarray, cutoffs: _Cutoffs
+) -> tuple[Optional[RatioReport], Optional[int], BadEventFlags]:
+    """Keep the coefficients of p where bits is 1: (q report, q degree, flags).
+
+    q is built from arrays derived from the already-checked p and bits, so
+    it is not checked again.  An empty q has no report and no degree.
+    """
+    kept = p.support[bits[p.support] == 1]
+    report, q_degree, overs = None, None, ()
+    if kept.size:
+        q = NewmanPolynomial._trusted((p.coefficients & bits)[: int(kept[-1]) + 1], kept)
+        q_square = square(q)
+        report, q_degree = ratio_report(q.l1, q.degree, q_square.height), q.degree
+        overs = tuple(int(k) for k in np.flatnonzero(q_square.coefficients > cutoffs.height))
+    flags = BadEventFlags(
+        E=kept.size < cutoffs.low_mass,
+        E_k_any=bool(overs),
+        E_k_indices=overs,
+        D=q_degree is None or q_degree <= cutoffs.degree,
+        l1_deviation=abs(kept.size - cutoffs.expected_mass) > cutoffs.allowance,
+    )
+    return report, q_degree, flags
 
 
 def sample(
@@ -536,22 +528,13 @@ def sample(
         raise ValueError("trial_index must be nonnegative")
     if p_square_height is None:
         p_square_height = square(p).height
+    cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    alpha = alpha_of(p.degree, config.alpha_exponent)
-    bits = (rng.random(p.degree + 1) < float(alpha)).astype(np.uint8)
-    mask = KeepMask(bits)
-    kept = p.support[bits[p.support] == 1]
-    if kept.size == 0:
-        flags = _flags_for(p, config, p_square_height, 0, None, None)
-        return SparsifyTrial(mask=mask, q_metrics=None, q_degree=None,
-                             flags=flags, trial_seed=trial_seed)
-    q = NewmanPolynomial((p.coefficients & bits)[: int(kept[-1]) + 1])
-    q_square = square(q)
-    flags = _flags_for(p, config, p_square_height, q.l1, q.degree, q_square)
-    report = ratio_report(q.l1, q.degree, q_square.height)
-    return SparsifyTrial(mask=mask, q_metrics=report, q_degree=q.degree,
+    mask = KeepMask((rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8))
+    q_metrics, q_degree, flags = _thin(p, mask.bits, cutoffs)
+    return SparsifyTrial(mask=mask, q_metrics=q_metrics, q_degree=q_degree,
                          flags=flags, trial_seed=trial_seed)
 
 
@@ -566,11 +549,8 @@ def detect_bad_events(
         raise ValueError("mask length does not match polynomial degree")
     if p_square_height is None:
         p_square_height = square(p).height
-    kept = p.support[trial.mask.bits[p.support] == 1]
-    if kept.size == 0:
-        return _flags_for(p, config, p_square_height, 0, None, None)
-    q = NewmanPolynomial((p.coefficients & trial.mask.bits)[: int(kept[-1]) + 1])
-    return _flags_for(p, config, p_square_height, q.l1, q.degree, square(q))
+    cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
+    return _thin(p, trial.mask.bits, cutoffs)[2]
 
 
 def theorem_conclusion_check(

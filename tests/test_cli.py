@@ -129,6 +129,21 @@ class TestSparsify:
         rows = json.loads(out)
         assert len(rows) == 2 and list(rows[0]) == TRIAL_COLUMNS
 
+    def test_rows_match_the_campaign_trial_table(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        out_dir = tmp_path / "results"
+        cfg.write_text(
+            "family = all_ones\ndegree_ladder = 1024\ntrials_per_degree = 5\n"
+            "rho = 8/9\nrho_prime = 19/20\nseed = 7\n"
+            f"output_dir = {out_dir}\nformat = csv\n"
+        )
+        code, _, _ = run(capsys, "experiment", "--config", str(cfg))
+        assert code == 0
+        code, out, _ = run(capsys, "sparsify", "--all-ones", "1024", "--rho", "8/9",
+                           "--rho-prime", "19/20", "--trials", "5", "--seed", "7")
+        assert code == 0
+        assert out == (out_dir / "trials_degree_1024.csv").read_text()
+
     def test_epsilon_required(self, capsys):
         code, _, err = run(capsys, "sparsify", "--all-ones", "32")
         assert code == 1 and "epsilon" in err

@@ -16,7 +16,7 @@ from newmanlab.poly import (
     square,
     square_oracle,
 )
-from newmanlab.poly import _square_bigint, _square_fft, _square_pairs, _square_python
+from newmanlab.poly import _square_bigint, _square_fft, _square_pairs
 
 supports = st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=64)
 
@@ -33,6 +33,28 @@ class TestConstruction:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             NewmanPolynomial([1, 2, 1])
+
+    @pytest.mark.parametrize("bad", [
+        np.array([256, 1]),  # wraps to [0, 1] under a uint8 cast
+        [0.5, 1.0],          # truncates to [0, 1] under an integer cast
+        [float("nan"), 1.0],
+        ["0", "1"],
+    ])
+    def test_rejects_values_a_cast_would_hide(self, bad):
+        with pytest.raises(ValueError):
+            NewmanPolynomial(bad)
+
+    def test_accepts_ints_bools_and_exact_floats(self):
+        p = NewmanPolynomial([1, 0, 1])
+        assert p == NewmanPolynomial([True, False, True])
+        assert p == NewmanPolynomial(np.array([1.0, 0.0, 1.0]))
+        assert NewmanPolynomial(np.array([0, 1], dtype=np.int8)).support.tolist() == [1]
+
+    def test_does_not_freeze_the_callers_array(self):
+        bits = np.array([1, 1], dtype=np.uint8)
+        p = NewmanPolynomial(bits)
+        bits[0] = 0
+        assert p.coefficients.tolist() == [1, 1]
 
     def test_rejects_trailing_zero(self):
         with pytest.raises(ValueError):
@@ -176,7 +198,7 @@ class TestSquare:
             bits = (rng.random(degree + 1) < density).astype(np.uint8)
             bits[-1] = 1
             p = NewmanPolynomial(bits)
-            reference = _square_python(p.coefficients)
+            reference = square_oracle(p).coefficients
             assert (_square_pairs(p.support, p.degree) == reference).all()
             assert (_square_bigint(p.coefficients, p.degree) == reference).all()
             fft = _square_fft(p.coefficients, p.degree, p.l1)

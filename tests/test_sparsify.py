@@ -98,6 +98,29 @@ class TestConfig:
             SparsifyConfig(epsilon=0.1, seed=2 ** 64)
 
 
+class TestKeepMask:
+    @pytest.mark.parametrize("bad", [
+        np.array([256, 1]),  # wraps to [0, 1] under a uint8 cast
+        [0.5, 1.0],          # truncates to [0, 1] under an integer cast
+        [2, 1],
+        [-1, 1],
+        [],
+        [[0, 1]],
+    ])
+    def test_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError):
+            KeepMask(bad)
+
+    def test_accepts_ints_and_bools(self):
+        assert KeepMask([1, 0, 1]).same_as(KeepMask([True, False, True]))
+        assert KeepMask([1, 0]).bits.dtype == np.uint8
+
+    def test_bits_are_read_only(self):
+        mask = KeepMask(np.array([1, 0], dtype=np.uint8))
+        with pytest.raises(ValueError):
+            mask.bits[0] = 0
+
+
 class TestExpectations:
     def test_expected_l1_linear(self):
         p = parse_polynomial("111", "bitstring")
