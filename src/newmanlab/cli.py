@@ -143,6 +143,8 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
 
 
 def _cmd_sparsify(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     p = _load_polynomial(args)
     config = SparsifyConfig(
         alpha_exponent=args.alpha_exponent,

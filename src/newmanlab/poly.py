@@ -5,12 +5,14 @@ nonzero leading term; the square of such a polynomial has small nonnegative
 integer coefficients (never exceeding the term count), so every quantity in
 this module is computed exactly, with ratios carried as `Fraction`s.
 
-Squaring picks one of three strategies by the pair count l1**2, whatever
-the length: explicit support-pair accumulation while the pair count is
-small, otherwise a padded real FFT whose rounding is certified exact by an
+Squaring picks one of three strategies by estimated cost: explicit
+support-pair accumulation costs about l1**2 and a real FFT about its
+length, so pairs are used while l1**2 <= _PAIR_COST * fft_length.  The FFT
+is padded to the smallest 5-smooth length (2**a * 3**b * 5**c) that holds
+the 2*degree + 1 output values, and its rounding is certified exact by an
 a-priori error bound, with a carry-free big-integer convolution as the
-fallback.  All strategies must agree bit-for-bit with `square_oracle`, the
-deliberately dumb literal double loop kept as the reference.
+fallback.  All strategies must agree bit-for-bit with `square_oracle`, a
+direct O(N**2) convolution sum kept as the reference.
 
 Coefficients are checked once, by the `NewmanPolynomial` constructor;
 polynomials derived from checked ones skip it via `_trusted`.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,8 +43,8 @@ __all__ = [
 ORACLE_DEGREE_CAP = 10_000
 
 # Strategy thresholds for square().
-_PAIR_LIMIT = 4_000_000  # max support pairs routed through bincount
-_FFT_GUARD = 0.25        # certified rounding error must stay below this
+_PAIR_COST = 8      # pairs while l1**2 <= _PAIR_COST * fft_length (measured crossover)
+_FFT_GUARD = 0.25   # certified rounding error must stay below this
 
 
 class NewmanPolynomial:
@@ -152,6 +155,17 @@ class SquareCoefficients:
             raise ValueError("square coefficients must have odd positive length")
         if (arr < 0).any():
             raise ValueError("square coefficients must be nonnegative")
+        self._adopt(arr)
+
+    @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "SquareCoefficients":
+        """Wrap an int64 array that a squaring strategy produced, unchecked;
+        it is frozen, not copied."""
+        sq = object.__new__(cls)
+        sq._adopt(arr)
+        return sq
+
+    def _adopt(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         self._coeffs = arr
 
@@ -287,6 +301,22 @@ def _square_pairs(support: np.ndarray, degree: int) -> np.ndarray:
     return np.bincount(sums, minlength=2 * degree + 1).astype(np.int64)
 
 
+# Cached because square() asks for it on every call, tiny squares included.
+@lru_cache(maxsize=1024)
+def _fft_length(n: int) -> int:
+    """Smallest 5-smooth integer 2**a * 3**b * 5**c >= n (n >= 1)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # Smallest power-of-two multiple of p35 that reaches n.
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_error_bound(l1: int, fft_length: int) -> float:
     # Worst-case rounding error of an FFT convolution of two 0/1 sequences
     # with l1 ones each: ||a||_2 * ||b||_2 * O(eps * log2(M)), with a wide
@@ -294,18 +324,24 @@ def _fft_error_bound(l1: int, fft_length: int) -> float:
     eps = float(np.finfo(np.float64).eps)
     return l1 * eps * (16.0 * math.log2(fft_length) + 16.0)
 
+
 def _square_fft(coeffs: np.ndarray, degree: int, l1: int) -> np.ndarray | None:
     out_len = 2 * degree + 1
-    fft_length = 1 << (out_len - 1).bit_length()
+    fft_length = _fft_length(out_len)
     if _fft_error_bound(l1, fft_length) >= _FFT_GUARD:
         return None
-    spectrum = np.fft.rfft(coeffs.astype(np.float64), n=fft_length)
-    raw = np.fft.irfft(spectrum * spectrum, n=fft_length)[:out_len]
-    rounded = np.rint(raw)
-    residual = float(np.abs(raw - rounded).max())
-    if residual >= _FFT_GUARD:  # numerical anomaly; let the exact path handle it
+    spectrum = np.fft.rfft(coeffs, n=fft_length)
+    spectrum *= spectrum
+    raw = np.fft.irfft(spectrum, n=fft_length)[:out_len]
+    del spectrum
+    # Round straight into the int64 result, then turn raw into |residual|.
+    out = np.empty(out_len, dtype=np.int64)
+    np.rint(raw, out=out, casting="unsafe")
+    raw -= out
+    np.abs(raw, out=raw)
+    if raw.max() >= _FFT_GUARD:  # numerical anomaly; let the exact path handle it
         return None
-    return rounded.astype(np.int64)
+    return out
 
 
 def _square_bigint(coeffs: np.ndarray, degree: int) -> np.ndarray:
@@ -323,36 +359,31 @@ def _square_bigint(coeffs: np.ndarray, degree: int) -> np.ndarray:
 def square(p: NewmanPolynomial) -> SquareCoefficients:
     """Exact coefficients of p**2.
 
-    (p**2)_k = sum_j p_j * p_{k-j}; the strategy is selected by density but
-    the result is strategy-independent.
+    (p**2)_k = sum_j p_j * p_{k-j}; the strategy is selected by estimated
+    cost but the result is strategy-independent.
     """
     degree = p.degree
     l1 = p.l1
-    if l1 * l1 <= _PAIR_LIMIT:
-        return SquareCoefficients(_square_pairs(p.support, degree))
+    if l1 * l1 <= _PAIR_COST * _fft_length(2 * degree + 1):
+        return SquareCoefficients._trusted(_square_pairs(p.support, degree))
     out = _square_fft(p.coefficients, degree, l1)
     if out is None:
         out = _square_bigint(p.coefficients, degree)
-    return SquareCoefficients(out)
+    return SquareCoefficients._trusted(out)
 
 
 def square_oracle(p: NewmanPolynomial) -> SquareCoefficients:
-    """Reference squaring: the literal double loop, no strategy selection.
+    """Reference squaring: the direct O(N**2) convolution sum, no strategy
+    selection.
 
-    Intentionally slow and kept independent of `square` so the two can be
-    compared; refuses degrees above ORACLE_DEGREE_CAP.
+    numpy's integer `convolve` sums every product p_j * p_{k-j} exactly in
+    int64 (it never takes an FFT).  Kept independent of `square` so the two
+    can be compared; refuses degrees above ORACLE_DEGREE_CAP.
     """
     if p.degree > ORACLE_DEGREE_CAP:
         raise ValueError(f"oracle capped at degree {ORACLE_DEGREE_CAP}, got {p.degree}")
-    c = p.coefficients.tolist()
-    n = len(c)
-    out = [0] * (2 * n - 1)
-    for i in range(n):
-        if c[i]:
-            for j in range(n):
-                if c[j]:
-                    out[i + j] += 1
-    return SquareCoefficients(out)
+    c = p.coefficients.astype(np.int64)
+    return SquareCoefficients(np.convolve(c, c))
 
 
 def ratio_report(l1: int, degree: int, height: int) -> RatioReport:

@@ -148,6 +148,16 @@ class TestSparsify:
         code, _, err = run(capsys, "sparsify", "--all-ones", "32")
         assert code == 1 and "epsilon" in err
 
+    def test_negative_trials_rejected(self, capsys):
+        code, out, err = run(capsys, "sparsify", "--all-ones", "16", "--epsilon", "0.3",
+                             "--trials", "-3")
+        assert code == 1 and out == "" and "--trials" in err
+
+    def test_zero_trials_prints_the_header(self, capsys):
+        code, out, _ = run(capsys, "sparsify", "--all-ones", "16", "--epsilon", "0.3",
+                           "--trials", "0")
+        assert code == 0 and out == ",".join(TRIAL_COLUMNS) + "\n"
+
 
 class TestSearch:
     def test_stdout_json(self, capsys):

@@ -1,5 +1,6 @@
 """Polynomial core: parsing, exact squaring, metrics."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,8 @@ from newmanlab.poly import (
     square,
     square_oracle,
 )
-from newmanlab.poly import _square_bigint, _square_fft, _square_pairs
+from newmanlab import poly
+from newmanlab.poly import _fft_length, _square_bigint, _square_fft, _square_pairs
 
 supports = st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=64)
 
@@ -204,6 +206,55 @@ class TestSquare:
             fft = _square_fft(p.coefficients, p.degree, p.l1)
             assert fft is not None and (fft == reference).all()
             assert (square(p).coefficients == reference).all()
+
+    @pytest.mark.parametrize("degree", [64, 1024, 4096])
+    def test_oracle_agrees_around_the_strategy_crossover(self, degree, monkeypatch):
+        fft_calls = []
+        real_fft = poly._square_fft
+
+        def counting_fft(*args):
+            fft_calls.append(args)
+            return real_fft(*args)
+
+        monkeypatch.setattr(poly, "_square_fft", counting_fft)
+        crossover = math.isqrt(poly._PAIR_COST * _fft_length(2 * degree + 1))
+        rng = np.random.default_rng(degree)
+        for l1 in (crossover - 1, crossover, crossover + 1):
+            inner = rng.choice(np.arange(1, degree), size=l1 - 2, replace=False)
+            p = NewmanPolynomial.from_support([0, degree, *inner.tolist()])
+            assert p.l1 == l1
+            assert square(p) == square_oracle(p)
+            assert len(fft_calls) == (l1 > crossover)
+
+    def test_sparse_high_degree_input_stays_on_pairs(self, monkeypatch):
+        def no_fft(*args):
+            raise AssertionError("_square_fft called")
+
+        monkeypatch.setattr(poly, "_square_fft", no_fft)
+        sq = square(NewmanPolynomial.from_support([0, 7, 3_000_000]))
+        nonzero = np.flatnonzero(sq.coefficients)
+        assert nonzero.tolist() == [0, 7, 14, 3_000_000, 3_000_007, 6_000_000]
+        assert sq.coefficients[nonzero].tolist() == [1, 2, 1, 2, 2, 1]
+
+
+class TestFFTLength:
+    def test_smallest_5_smooth_length(self):
+        def smooth(m):
+            for f in (2, 3, 5):
+                while m % f == 0:
+                    m //= f
+            return m == 1
+
+        expected = []
+        m = 1
+        for n in range(1, 20_001):
+            m = max(m, n)
+            while not smooth(m):
+                m += 1
+            expected.append(m)
+        got = [_fft_length(n) for n in range(1, 20_001)]
+        assert got == expected
+        assert all(length <= 1 << (n - 1).bit_length() for n, length in enumerate(got, 1))
 
 
 class TestMetrics:
