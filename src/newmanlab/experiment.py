@@ -342,16 +342,12 @@ def record_from_trial(trial_index: int, trial: SparsifyTrial) -> TrialRecord:
 
 
 def _trial_chunk(
-    support_bytes: bytes,
-    degree: int,
+    p: NewmanPolynomial,
     scfg: SparsifyConfig,
     p_square_height: int,
     lo: int,
     hi: int,
 ) -> list[TrialRecord]:
-    support = np.frombuffer(support_bytes, dtype=np.int64)
-    p = NewmanPolynomial.from_support(support.tolist())
-    assert p.degree == degree
     return [
         record_from_trial(t, sample(p, scfg, t, p_square_height=p_square_height))
         for t in range(lo, hi)
@@ -370,14 +366,12 @@ def _run_degree(
             record_from_trial(t, sample(p, scfg, t, p_square_height=p_square_height))
             for t in range(trials)
         ]
-    support_bytes = p.support.astype(np.int64).tobytes()
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
     chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
     records: list[TrialRecord] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_trial_chunk, support_bytes, p.degree, scfg,
-                        p_square_height, lo, hi)
+            pool.submit(_trial_chunk, p, scfg, p_square_height, lo, hi)
             for lo, hi in chunks
         ]
         for future in futures:

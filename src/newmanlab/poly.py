@@ -5,14 +5,15 @@ nonzero leading term; the square of such a polynomial has small nonnegative
 integer coefficients (never exceeding the term count), so every quantity in
 this module is computed exactly, with ratios carried as `Fraction`s.
 
-Squaring picks one of three strategies by estimated cost: explicit
+Squaring picks one of two strategies by estimated cost: explicit
 support-pair accumulation costs about l1**2 and a real FFT about its
 length, so pairs are used while l1**2 <= _PAIR_COST * fft_length.  The FFT
 is padded to the smallest 5-smooth length (2**a * 3**b * 5**c) that holds
-the 2*degree + 1 output values, and its rounding is certified exact by an
-a-priori error bound, with a carry-free big-integer convolution as the
-fallback.  All strategies must agree bit-for-bit with `square_oracle`, a
-direct O(N**2) convolution sum kept as the reference.
+the 2*degree + 1 output values; an a-priori error bound and the rounding
+residual both guard its exactness, and it raises `ArithmeticError` if
+either guard trips.  Both strategies must agree
+bit-for-bit with `square_oracle`, a direct O(N**2) convolution sum kept as
+the reference.
 
 Coefficients are checked once, by the `NewmanPolynomial` constructor;
 polynomials derived from checked ones skip it via `_trusted`.
@@ -137,6 +138,10 @@ class NewmanPolynomial:
 
     def __hash__(self) -> int:
         return hash((self.degree, self._coeffs.tobytes()))
+
+    def __reduce__(self):
+        # Unpickle through the checked constructor, which freezes the arrays.
+        return (type(self), (self._coeffs,))
 
     def __repr__(self) -> str:
         exps = self._support.tolist()
@@ -292,13 +297,13 @@ def format_polynomial(p: NewmanPolynomial, format: str = "exponent_list") -> str
 
 
 # ---------------------------------------------------------------------------
-# Squaring strategies.  All of them return plain int64 arrays of length
+# Squaring strategies.  Both return plain int64 arrays of length
 # 2*degree + 1 and must agree exactly.
 
 
 def _square_pairs(support: np.ndarray, degree: int) -> np.ndarray:
     sums = (support[:, None] + support[None, :]).ravel()
-    return np.bincount(sums, minlength=2 * degree + 1).astype(np.int64)
+    return np.bincount(sums, minlength=2 * degree + 1).astype(np.int64, copy=False)
 
 
 # Cached because square() asks for it on every call, tiny squares included.
@@ -319,17 +324,20 @@ def _fft_length(n: int) -> int:
 
 def _fft_error_bound(l1: int, fft_length: int) -> float:
     # Worst-case rounding error of an FFT convolution of two 0/1 sequences
-    # with l1 ones each: ||a||_2 * ||b||_2 * O(eps * log2(M)), with a wide
-    # safety constant.
+    # with l1 ones each: ||a||_2 * ||b||_2 * O(eps * log2(M)).  The factor
+    # 16*log2(M) + 16 rounds up the constant of the radix-2 bound of
+    # Brent-Percival-Zimmermann (2007) and Percival (2003).  pocketfft's
+    # radix-3 and radix-5 passes have no published bound of this kind,
+    # which is why _square_fft also checks the rounding residual.
     eps = float(np.finfo(np.float64).eps)
     return l1 * eps * (16.0 * math.log2(fft_length) + 16.0)
 
 
-def _square_fft(coeffs: np.ndarray, degree: int, l1: int) -> np.ndarray | None:
+def _square_fft(coeffs: np.ndarray, degree: int, l1: int) -> np.ndarray:
     out_len = 2 * degree + 1
     fft_length = _fft_length(out_len)
     if _fft_error_bound(l1, fft_length) >= _FFT_GUARD:
-        return None
+        raise _uncertified(degree, l1, fft_length, "a-priori error bound")
     spectrum = np.fft.rfft(coeffs, n=fft_length)
     spectrum *= spectrum
     raw = np.fft.irfft(spectrum, n=fft_length)[:out_len]
@@ -339,37 +347,30 @@ def _square_fft(coeffs: np.ndarray, degree: int, l1: int) -> np.ndarray | None:
     np.rint(raw, out=out, casting="unsafe")
     raw -= out
     np.abs(raw, out=raw)
-    if raw.max() >= _FFT_GUARD:  # numerical anomaly; let the exact path handle it
-        return None
+    if raw.max() >= _FFT_GUARD:
+        raise _uncertified(degree, l1, fft_length, "rounding residual")
     return out
 
 
-def _square_bigint(coeffs: np.ndarray, degree: int) -> np.ndarray:
-    # Pack one coefficient per 32-bit slot; squares of 0/1 polynomials have
-    # coefficients <= degree + 1, so slots never carry into each other.
-    out_len = 2 * degree + 1
-    packed = np.zeros(len(coeffs) * 4, dtype=np.uint8)
-    packed[::4] = coeffs
-    value = int.from_bytes(packed.tobytes(), "little")
-    squared = value * value
-    raw = squared.to_bytes(4 * (out_len + 1), "little")[: 4 * out_len]
-    return np.frombuffer(raw, dtype="<u4").astype(np.int64)
+def _uncertified(degree: int, l1: int, fft_length: int, guard: str) -> ArithmeticError:
+    return ArithmeticError(
+        f"FFT square of degree {degree}, l1 {l1} on {fft_length} points "
+        f"is not certified exact: the {guard} reached {_FFT_GUARD}"
+    )
 
 
 def square(p: NewmanPolynomial) -> SquareCoefficients:
     """Exact coefficients of p**2.
 
     (p**2)_k = sum_j p_j * p_{k-j}; the strategy is selected by estimated
-    cost but the result is strategy-independent.
+    cost but the result is strategy-independent.  Raises `ArithmeticError`
+    if the FFT cannot certify its rounding exact.
     """
     degree = p.degree
     l1 = p.l1
     if l1 * l1 <= _PAIR_COST * _fft_length(2 * degree + 1):
         return SquareCoefficients._trusted(_square_pairs(p.support, degree))
-    out = _square_fft(p.coefficients, degree, l1)
-    if out is None:
-        out = _square_bigint(p.coefficients, degree)
-    return SquareCoefficients._trusted(out)
+    return SquareCoefficients._trusted(_square_fft(p.coefficients, degree, l1))
 
 
 def square_oracle(p: NewmanPolynomial) -> SquareCoefficients:

@@ -172,7 +172,7 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
             if use_reversal_symmetry and _reverse_bits(interior, width) < interior:
                 meta.reversal_skipped += 1
                 continue
-            l1 = interior.bit_count() + (2 if degree >= 1 else 1)
+            l1 = interior.bit_count() + 2
             if not _density_ok(l1, degree, spec.density_floor):
                 meta.density_rejected += 1
                 continue

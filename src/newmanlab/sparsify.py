@@ -192,13 +192,8 @@ class SparsifyTrial:
 
     mask: KeepMask
     q_metrics: Optional[RatioReport]
-    q_degree: Optional[int]
     flags: BadEventFlags
     trial_seed: int
-
-    def __post_init__(self) -> None:
-        if (self.q_metrics is None) != (self.q_degree is None):
-            raise ValueError("q_metrics and q_degree must be absent together")
 
     @property
     def is_empty(self) -> bool:
@@ -488,27 +483,27 @@ def _cutoffs(degree: int, l1: int, p_square_height: int, config: SparsifyConfig)
 
 def _thin(
     p: NewmanPolynomial, bits: np.ndarray, cutoffs: _Cutoffs
-) -> tuple[Optional[RatioReport], Optional[int], BadEventFlags]:
-    """Keep the coefficients of p where bits is 1: (q report, q degree, flags).
+) -> tuple[Optional[RatioReport], BadEventFlags]:
+    """Keep the coefficients of p where bits is 1: (q report, flags).
 
     q is built from arrays derived from the already-checked p and bits, so
-    it is not checked again.  An empty q has no report and no degree.
+    it is not checked again.  An empty q has no report.
     """
     kept = p.support[bits[p.support] == 1]
-    report, q_degree, overs = None, None, ()
+    report, overs = None, ()
     if kept.size:
         q = NewmanPolynomial._trusted((p.coefficients & bits)[: int(kept[-1]) + 1], kept)
         q_square = square(q)
-        report, q_degree = ratio_report(q.l1, q.degree, q_square.height), q.degree
+        report = ratio_report(q.l1, q.degree, q_square.height)
         overs = tuple(int(k) for k in np.flatnonzero(q_square.coefficients > cutoffs.height))
     flags = BadEventFlags(
         E=kept.size < cutoffs.low_mass,
         E_k_any=bool(overs),
         E_k_indices=overs,
-        D=q_degree is None or q_degree <= cutoffs.degree,
+        D=report is None or report.degree <= cutoffs.degree,
         l1_deviation=abs(kept.size - cutoffs.expected_mass) > cutoffs.allowance,
     )
-    return report, q_degree, flags
+    return report, flags
 
 
 def sample(
@@ -533,9 +528,8 @@ def sample(
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     mask = KeepMask((rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8))
-    q_metrics, q_degree, flags = _thin(p, mask.bits, cutoffs)
-    return SparsifyTrial(mask=mask, q_metrics=q_metrics, q_degree=q_degree,
-                         flags=flags, trial_seed=trial_seed)
+    q_metrics, flags = _thin(p, mask.bits, cutoffs)
+    return SparsifyTrial(mask=mask, q_metrics=q_metrics, flags=flags, trial_seed=trial_seed)
 
 
 def detect_bad_events(
@@ -550,7 +544,7 @@ def detect_bad_events(
     if p_square_height is None:
         p_square_height = square(p).height
     cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
-    return _thin(p, trial.mask.bits, cutoffs)[2]
+    return _thin(p, trial.mask.bits, cutoffs)[1]
 
 
 def theorem_conclusion_check(

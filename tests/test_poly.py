@@ -1,6 +1,7 @@
 """Polynomial core: parsing, exact squaring, metrics."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from newmanlab.poly import (
     square_oracle,
 )
 from newmanlab import poly
-from newmanlab.poly import _fft_length, _square_bigint, _square_fft, _square_pairs
+from newmanlab.poly import _FFT_GUARD, _fft_error_bound, _fft_length, _square_fft, _square_pairs
 
 supports = st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=64)
 
@@ -83,6 +84,14 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != NewmanPolynomial([1, 1, 1])
+
+    def test_pickle_round_trip_is_equal_and_read_only(self):
+        p = NewmanPolynomial.from_support([0, 3, 4, 9])
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == p and hash(copy) == hash(p)
+        assert copy.support.tolist() == [0, 3, 4, 9]
+        assert not copy.coefficients.flags.writeable
+        assert not copy.support.flags.writeable
 
 
 class TestParseFormat:
@@ -202,9 +211,7 @@ class TestSquare:
             p = NewmanPolynomial(bits)
             reference = square_oracle(p).coefficients
             assert (_square_pairs(p.support, p.degree) == reference).all()
-            assert (_square_bigint(p.coefficients, p.degree) == reference).all()
-            fft = _square_fft(p.coefficients, p.degree, p.l1)
-            assert fft is not None and (fft == reference).all()
+            assert (_square_fft(p.coefficients, p.degree, p.l1) == reference).all()
             assert (square(p).coefficients == reference).all()
 
     @pytest.mark.parametrize("degree", [64, 1024, 4096])
@@ -235,6 +242,34 @@ class TestSquare:
         nonzero = np.flatnonzero(sq.coefficients)
         assert nonzero.tolist() == [0, 7, 14, 3_000_000, 3_000_007, 6_000_000]
         assert sq.coefficients[nonzero].tolist() == [1, 2, 1, 2, 2, 1]
+
+
+class TestFFTCertificate:
+    def test_perturbed_transform_raises(self, monkeypatch):
+        real_irfft = np.fft.irfft
+
+        def off_by_four_tenths(*args, **kwargs):
+            raw = real_irfft(*args, **kwargs)
+            raw[100] += 0.4
+            return raw
+
+        monkeypatch.setattr(np.fft, "irfft", off_by_four_tenths)
+        with pytest.raises(ArithmeticError, match="rounding residual"):
+            square(NewmanPolynomial.all_ones(100))
+
+    def test_tripped_bound_raises_before_transforming(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("rfft called")
+
+        monkeypatch.setattr(poly, "_fft_error_bound", lambda l1, fft_length: _FFT_GUARD)
+        monkeypatch.setattr(np.fft, "rfft", no_transform)
+        with pytest.raises(ArithmeticError, match="degree 100, l1 101 on 216 points"):
+            square(NewmanPolynomial.all_ones(100))
+
+    def test_bound_holds_below_a_tebibyte_of_coefficients(self):
+        # The bound leaves the guard only far beyond any array that fits in
+        # memory: 2**40 terms spread over 2**41 + 1 output values.
+        assert _fft_error_bound(2 ** 40, _fft_length(2 ** 41 + 1)) < _FFT_GUARD
 
 
 class TestFFTLength:

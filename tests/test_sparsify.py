@@ -350,7 +350,7 @@ class TestBadEvents:
         mask = KeepMask(np.ones(101, dtype=np.uint8))
         trial_like = sample(p, cfg, 0)
         flags = detect_bad_events(p, type(trial_like)(mask=mask, q_metrics=metrics(p),
-                                                      q_degree=100, flags=trial_like.flags,
+                                                      flags=trial_like.flags,
                                                       trial_seed=0), cfg)
         assert not flags.E
         assert not flags.D
@@ -365,8 +365,7 @@ class TestBadEvents:
         cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=1)
         trial = sample(p, cfg, 0)
         zero_trial = type(trial)(mask=KeepMask(np.zeros(101, dtype=np.uint8)),
-                                 q_metrics=None, q_degree=None,
-                                 flags=trial.flags, trial_seed=0)
+                                 q_metrics=None, flags=trial.flags, trial_seed=0)
         flags = detect_bad_events(p, zero_trial, cfg)
         assert flags.E and flags.D
         assert not flags.E_k_any
@@ -403,7 +402,6 @@ class TestSample:
         assert a.mask.same_as(b.mask)
         assert a.flags == b.flags
         assert a.q_metrics == b.q_metrics
-        assert a.q_degree == b.q_degree
 
     def test_distinct_trials_differ(self):
         p = NewmanPolynomial.all_ones(300)
@@ -437,8 +435,7 @@ class TestSample:
         cfg = SparsifyConfig(epsilon=0.5, seed=3)
         trial = sample(p, cfg, 0)
         zero = type(trial)(mask=KeepMask(np.zeros(51, dtype=np.uint8)),
-                           q_metrics=None, q_degree=None, flags=trial.flags,
-                           trial_seed=0)
+                           q_metrics=None, flags=trial.flags, trial_seed=0)
         flags = detect_bad_events(p, zero, cfg)
         assert flags.E and flags.D and not flags.E_k_any
 
@@ -521,7 +518,6 @@ class TestConclusion:
         empty = SparsifyTrial(
             mask=KeepMask(np.zeros(51, dtype=np.uint8)),
             q_metrics=None,
-            q_degree=None,
             flags=BadEventFlags(E=True, E_k_any=False, E_k_indices=(), D=True,
                                 l1_deviation=True),
             trial_seed=0,
