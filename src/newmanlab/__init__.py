@@ -28,6 +28,7 @@ from .sparsify import (  # noqa: F401
     KeepMask,
     SparsifyConfig,
     SparsifyTrial,
+    TrialRecord,
     alpha_of,
     classify_case,
     detect_bad_events,

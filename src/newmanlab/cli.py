@@ -156,7 +156,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     )
     p_height = square(p).height
     records = [
-        record_from_trial(t, sample(p, config, t, p_square_height=p_height))
+        record_from_trial(sample(p, config, t, p_square_height=p_height))
         for t in range(args.trials)
     ]
     _emit(trial_table_text(records, args.format), args.out)

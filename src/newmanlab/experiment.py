@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -23,15 +23,20 @@ import numpy as np
 from . import __version__
 from .concentration import bad_event_E_bound
 from .poly import NewmanPolynomial, parse_polynomial, square
-from .search import SearchSpec, exhaustive_search
-from .sparsify import RNG_ALGORITHM, SparsifyConfig, SparsifyTrial, alpha_of, sample
+from .sparsify import (
+    RNG_ALGORITHM,
+    SparsifyConfig,
+    SparsifyTrial,
+    TrialRecord,
+    alpha_of,
+    sample,
+)
 
 __all__ = [
     "TRIAL_COLUMNS",
     "SUMMARY_COLUMNS",
     "MEAN_PROXY_DEN",
     "CampaignConfig",
-    "TrialRecord",
     "DegreeSummary",
     "CampaignSummary",
     "record_from_trial",
@@ -55,7 +60,7 @@ SUMMARY_COLUMNS = [
 # Exact product means are emitted as round(mean * 10**12) / 10**12.
 MEAN_PROXY_DEN = 10 ** 12
 
-_FAMILIES = ("all_ones", "from_file", "search_best")
+_FAMILIES = ("all_ones", "from_file")
 _FORMATS = ("csv", "json")
 
 
@@ -122,46 +127,6 @@ class CampaignConfig:
     def sha256(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """Per-trial row; rationals kept exact, mask dropped."""
-
-    trial_index: int
-    trial_seed: int
-    l1_q: int
-    deg_q: Optional[int]
-    height_q2: Optional[int]
-    ratio: Optional[Fraction]
-    product: Optional[Fraction]
-    flag_E: bool
-    flag_D: bool
-    num_Ek: int
-    first_Ek_index: Optional[int]
-
-    @property
-    def successful(self) -> bool:
-        return self.l1_q > 0
-
-    @property
-    def clean(self) -> bool:
-        return not (self.flag_E or self.flag_D or self.num_Ek > 0)
-
-    def to_csv_row(self) -> list[str]:
-        def opt(v) -> str:
-            return "" if v is None else str(v)
-
-        return [
-            str(self.trial_index), str(self.trial_seed), str(self.l1_q),
-            opt(self.deg_q), opt(self.height_q2),
-            opt(None if self.ratio is None else self.ratio.numerator),
-            opt(None if self.ratio is None else self.ratio.denominator),
-            opt(None if self.product is None else self.product.numerator),
-            opt(None if self.product is None else self.product.denominator),
-            str(int(self.flag_E)), str(int(self.flag_D)),
-            str(self.num_Ek), opt(self.first_Ek_index),
-        ]
 
 
 @dataclass(frozen=True)
@@ -278,12 +243,7 @@ def parse_campaign_file(path: str) -> CampaignConfig:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             values[key.strip()] = val.strip()
-    known = {
-        "family", "family_file", "degree_ladder", "trials_per_degree",
-        "alpha_exponent", "epsilon", "rho", "rho_prime", "c0", "seed",
-        "output_dir", "format",
-    }
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in fields(CampaignConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "family" not in values or "degree_ladder" not in values or "trials_per_degree" not in values:
@@ -310,35 +270,21 @@ def parse_campaign_file(path: str) -> CampaignConfig:
 def _family_polynomial(config: CampaignConfig, degree: int) -> NewmanPolynomial:
     if config.family == "all_ones":
         return NewmanPolynomial.all_ones(degree)
-    if config.family == "from_file":
-        assert config.family_file is not None
-        with open(config.family_file, "r", encoding="utf-8") as handle:
-            for raw in handle:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                p = parse_polynomial(line, "exponent_list")
-                if p.degree == degree:
-                    return p
-        raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")
-    spec = SearchSpec(min_degree=degree, max_degree=degree,
-                      density_floor=config.c0, seed=config.seed)
-    return exhaustive_search(spec).best
+    assert config.family_file is not None
+    with open(config.family_file, "r", encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            p = parse_polynomial(line, "exponent_list")
+            if p.degree == degree:
+                return p
+    raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")
 
 
-def record_from_trial(trial_index: int, trial: SparsifyTrial) -> TrialRecord:
-    flags, rep = trial.flags, trial.q_metrics
-    l1_q, deg_q, height_q2, ratio, product = (
-        (0, None, None, None, None) if rep is None
-        else (rep.l1, rep.degree, rep.height, rep.ratio, rep.product)
-    )
-    return TrialRecord(
-        trial_index=trial_index, trial_seed=trial.trial_seed, l1_q=l1_q,
-        deg_q=deg_q, height_q2=height_q2, ratio=ratio, product=product,
-        flag_E=flags.E, flag_D=flags.D,
-        num_Ek=len(flags.E_k_indices),
-        first_Ek_index=flags.E_k_indices[0] if flags.E_k_indices else None,
-    )
+def record_from_trial(trial: SparsifyTrial) -> TrialRecord:
+    """The trial without its mask: what a campaign keeps."""
+    return TrialRecord(trial.trial_index, trial.trial_seed, trial.q_metrics, trial.flags)
 
 
 def _trial_chunk(
@@ -349,7 +295,7 @@ def _trial_chunk(
     hi: int,
 ) -> list[TrialRecord]:
     return [
-        record_from_trial(t, sample(p, scfg, t, p_square_height=p_square_height))
+        record_from_trial(sample(p, scfg, t, p_square_height=p_square_height))
         for t in range(lo, hi)
     ]
 
@@ -361,23 +307,16 @@ def _run_degree(
     p_square_height: int,
     workers: int,
 ) -> list[TrialRecord]:
-    if workers <= 1 or trials < 2 * workers:
-        return [
-            record_from_trial(t, sample(p, scfg, t, p_square_height=p_square_height))
-            for t in range(trials)
-        ]
+    if workers == 1 or trials < 2 * workers:
+        return _trial_chunk(p, scfg, p_square_height, 0, trials)
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    records: list[TrialRecord] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_trial_chunk, p, scfg, p_square_height, lo, hi)
-            for lo, hi in chunks
+            for lo, hi in zip(bounds, bounds[1:]) if hi > lo
         ]
-        for future in futures:
-            records.extend(future.result())
-    records.sort(key=lambda r: r.trial_index)
-    return records
+        # Chunks are consecutive index ranges, so this is trial order.
+        return [record for future in futures for record in future.result()]
 
 
 def _summarize_degree(
@@ -388,7 +327,7 @@ def _summarize_degree(
     records: list[TrialRecord],
 ) -> DegreeSummary:
     trials = len(records)
-    successes = [r for r in records if r.successful]
+    reports = [r.q_metrics for r in records if r.q_metrics is not None]
     bound = bad_event_E_bound(degree, config.c0, epsilon, config.alpha_exponent)
 
     def agg(values):
@@ -397,19 +336,19 @@ def _summarize_degree(
         total = sum(values, Fraction(0)) if isinstance(values[0], Fraction) else sum(values)
         return min(values), max(values), Fraction(total, len(values))
 
-    l1_min, l1_max, l1_mean = agg([r.l1_q for r in successes])
-    deg_min, deg_max, deg_mean = agg([r.deg_q for r in successes])
-    prod_min, prod_max, prod_mean = agg([r.product for r in successes])
+    l1_min, l1_max, l1_mean = agg([rep.l1 for rep in reports])
+    deg_min, deg_max, deg_mean = agg([rep.degree for rep in reports])
+    prod_min, prod_max, prod_mean = agg([rep.product for rep in reports])
     return DegreeSummary(
         degree=degree,
         alpha=float(alpha),
         epsilon=epsilon,
         trials=trials,
-        count_E=sum(r.flag_E for r in records),
-        count_Ek=sum(r.num_Ek > 0 for r in records),
-        count_D=sum(r.flag_D for r in records),
-        count_clean=sum(r.clean for r in records),
-        count_successful=len(successes),
+        count_E=sum(r.flags.E for r in records),
+        count_Ek=sum(r.flags.E_k_any for r in records),
+        count_D=sum(r.flags.D for r in records),
+        count_clean=sum(r.flags.clean for r in records),
+        count_successful=len(reports),
         l1_min=l1_min, l1_max=l1_max, l1_mean=l1_mean,
         deg_min=deg_min, deg_max=deg_max, deg_mean=deg_mean,
         product_min=prod_min, product_max=prod_max, product_mean=prod_mean,
@@ -420,6 +359,8 @@ def _summarize_degree(
 
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every ladder degree and aggregate; reproducible from (config, seed)."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     scfg = config.sparsify_config()
     epsilon = float(scfg.epsilon)
     summary = CampaignSummary(config=config, epsilon=epsilon)
@@ -446,9 +387,25 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _trial_row(record: TrialRecord) -> list[str]:
+    """The TRIAL_COLUMNS of one record; an empty q has l1 0 and blank q columns."""
+    rep, flags = record.q_metrics, record.flags
+    q_columns = ["0"] + [""] * 6 if rep is None else [
+        str(rep.l1), str(rep.degree), str(rep.height),
+        str(rep.ratio.numerator), str(rep.ratio.denominator),
+        str(rep.product.numerator), str(rep.product.denominator),
+    ]
+    overs = flags.E_k_indices
+    return [
+        str(record.trial_index), str(record.trial_seed), *q_columns,
+        str(int(flags.E)), str(int(flags.D)),
+        str(len(overs)), str(overs[0]) if overs else "",
+    ]
+
+
 def trial_table_text(records: list[TrialRecord], format: str) -> str:
     """One trial table in `format` ("csv" or "json"), as the campaign writes it."""
-    rows = [r.to_csv_row() for r in records]
+    rows = [_trial_row(r) for r in records]
     if format == "csv":
         return _csv_text(TRIAL_COLUMNS, rows)
     return json.dumps([dict(zip(TRIAL_COLUMNS, row)) for row in rows], indent=2) + "\n"

@@ -39,6 +39,7 @@ __all__ = [
     "SparsifyConfig",
     "KeepMask",
     "BadEventFlags",
+    "TrialRecord",
     "SparsifyTrial",
     "CoefficientSplit",
     "CaseLabel",
@@ -186,18 +187,32 @@ class BadEventFlags:
         return not (self.E or self.E_k_any or self.D)
 
 
-@dataclass(eq=False)
-class SparsifyTrial:
-    """One realized thinning: the mask, the surviving polynomial's metrics, flags."""
+@dataclass(frozen=True)
+class TrialRecord:
+    """Outcome of one thinning trial: the surviving polynomial's metrics and flags.
 
-    mask: KeepMask
+    `q_metrics` is None when no coefficient survived.  This is the record a
+    campaign keeps and a trial table renders.
+    """
+
+    trial_index: int
+    trial_seed: int
     q_metrics: Optional[RatioReport]
     flags: BadEventFlags
-    trial_seed: int
 
     @property
     def is_empty(self) -> bool:
         return self.q_metrics is None
+
+
+@dataclass(frozen=True, eq=False)
+class SparsifyTrial(TrialRecord):
+    """A trial record with its realized mask (N+1 bytes, so campaigns drop it).
+
+    Equality and hashing are the record's; the mask is not compared.
+    """
+
+    mask: KeepMask
 
 
 @dataclass(frozen=True)
@@ -529,27 +544,28 @@ def sample(
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     mask = KeepMask((rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8))
     q_metrics, flags = _thin(p, mask.bits, cutoffs)
-    return SparsifyTrial(mask=mask, q_metrics=q_metrics, flags=flags, trial_seed=trial_seed)
+    return SparsifyTrial(trial_index=trial_index, trial_seed=trial_seed,
+                         q_metrics=q_metrics, flags=flags, mask=mask)
 
 
 def detect_bad_events(
     p: NewmanPolynomial,
-    trial: SparsifyTrial,
+    mask: KeepMask,
     config: SparsifyConfig,
     p_square_height: Optional[int] = None,
 ) -> BadEventFlags:
-    """Recompute the flags of a trial from its mask (exact, side-effect free)."""
-    if len(trial.mask) != p.degree + 1:
+    """Compute the flags of thinning p by mask (exact, side-effect free)."""
+    if len(mask) != p.degree + 1:
         raise ValueError("mask length does not match polynomial degree")
     if p_square_height is None:
         p_square_height = square(p).height
     cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
-    return _thin(p, trial.mask.bits, cutoffs)[1]
+    return _thin(p, mask.bits, cutoffs)[1]
 
 
 def theorem_conclusion_check(
     p: NewmanPolynomial,
-    trial: SparsifyTrial,
+    trial: TrialRecord,
     config: SparsifyConfig,
     p_metrics: Optional[RatioReport] = None,
 ) -> ConclusionReport:

@@ -213,10 +213,10 @@ def test_criterion_07_theorem_implication_exact(campaign):
         p_product = metrics(NewmanPolynomial.all_ones(degree)).product
         budget = amplification * p_product
         for record in campaign.trials[degree]:
-            if not record.clean or not record.successful:
+            if not record.flags.clean or record.is_empty:
                 continue
             clean_total += 1
-            if record.product > budget:
+            if record.q_metrics.product > budget:
                 exceptions += 1
     report(7, exceptions == 0,
            f"ratio(q)*deg(q) <= (1+eps)/(1-eps)^2 * ratio(p)*deg(p) held exactly in "
@@ -227,10 +227,11 @@ def test_criterion_08_sparsity_trend_over_clean_trials(campaign):
     means = []
     counts = []
     for degree in LADDER:
-        clean = [r for r in campaign.trials[degree] if r.clean and r.successful]
+        clean = [r.q_metrics for r in campaign.trials[degree]
+                 if r.flags.clean and not r.is_empty]
         counts.append(len(clean))
         if clean:
-            means.append(float(np.mean([r.l1_q / r.deg_q for r in clean])))
+            means.append(float(np.mean([q.l1 / q.degree for q in clean])))
         else:
             means.append(float("nan"))
     decreasing = all(
@@ -254,8 +255,8 @@ def test_module_invariant_sparsity_trend_all_trials(campaign):
     # ladder, witnessing that thinned mass grows slower than the degree.
     means = []
     for degree in LADDER:
-        surviving = [r for r in campaign.trials[degree] if r.successful]
-        means.append(float(np.mean([r.l1_q / r.deg_q for r in surviving])))
+        surviving = [r.q_metrics for r in campaign.trials[degree] if not r.is_empty]
+        means.append(float(np.mean([q.l1 / q.degree for q in surviving])))
     ok = means[0] > means[1] > means[2]
     line = (f"[INVARIANT] sparsity trend over all surviving trials: "
             f"{'PASS' if ok else 'FAIL'} - means {[f'{m:.4f}' for m in means]}")

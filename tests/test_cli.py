@@ -225,6 +225,17 @@ class TestExperiment:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["master_seed"] == 6
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_rejects_fewer_than_one_worker(self, capsys, tmp_path, workers):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("family = all_ones\ndegree_ladder = 16\ntrials_per_degree = 4\n"
+                       f"epsilon = 0.3\noutput_dir = {tmp_path / 'o'}\n")
+        code, _, err = run(capsys, "experiment", "--config", str(cfg),
+                           "--workers", workers)
+        assert code == 1
+        assert err == f"newman: error: workers must be at least 1, got {workers}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "--config",
                            str(tmp_path / "nope.cfg"))

@@ -1,5 +1,6 @@
 """Campaign runner: aggregation consistency, determinism, file outputs."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -13,8 +14,12 @@ from newmanlab.experiment import (
     CampaignConfig,
     emit_results,
     parse_campaign_file,
+    record_from_trial,
     run_campaign,
+    trial_table_text,
 )
+from newmanlab.poly import NewmanPolynomial
+from newmanlab.sparsify import SparsifyConfig, TrialRecord, sample
 
 def small_config(tmp_path, **overrides) -> CampaignConfig:
     base = dict(
@@ -50,6 +55,10 @@ class TestConfig:
             small_config(tmp_path, format="parquet")
         with pytest.raises(ValueError):
             small_config(tmp_path, family="from_file")  # missing file
+
+    def test_search_best_family_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            small_config(tmp_path, family="search_best")
 
     def test_hash_ignores_output_dir(self, tmp_path):
         a = small_config(tmp_path)
@@ -107,22 +116,29 @@ class TestRun:
                 assert 0.0 <= freq <= 1.0
             records = summary.trials[row.degree]
             assert len(records) == 25
-            assert row.count_E == sum(r.flag_E for r in records)
-            assert row.count_clean == sum(r.clean for r in records)
-            assert row.count_successful == sum(r.successful for r in records)
+            assert row.count_E == sum(r.flags.E for r in records)
+            assert row.count_clean == sum(r.flags.clean for r in records)
+            assert row.count_successful == sum(not r.is_empty for r in records)
 
     def test_summary_recomputable_from_trial_rows(self, tmp_path):
         cfg = small_config(tmp_path)
         summary = run_campaign(cfg)
         for row in summary.degrees:
             records = summary.trials[row.degree]
-            succ = [r for r in records if r.successful]
-            mean_product = sum((r.product for r in succ), Fraction(0)) / len(succ)
+            succ = [r.q_metrics for r in records if not r.is_empty]
+            mean_product = sum((q.product for q in succ), Fraction(0)) / len(succ)
             assert row.product_mean == mean_product
             assert row.mean_product_proxy() == round(mean_product * MEAN_PROXY_DEN)
-            assert row.l1_min == min(r.l1_q for r in succ)
-            assert row.l1_max == max(r.l1_q for r in succ)
-            assert row.deg_mean == Fraction(sum(r.deg_q for r in succ), len(succ))
+            assert row.l1_min == min(q.l1 for q in succ)
+            assert row.l1_max == max(q.l1 for q in succ)
+            assert row.deg_mean == Fraction(sum(q.degree for q in succ), len(succ))
+
+    def test_record_from_trial_drops_only_the_mask(self):
+        trial = sample(NewmanPolynomial.all_ones(64), SparsifyConfig(epsilon=0.3, seed=2), 4)
+        record = record_from_trial(trial)
+        assert type(record) is TrialRecord and not hasattr(record, "mask")
+        assert (record.trial_index, record.trial_seed, record.q_metrics, record.flags) == (
+            4, trial.trial_seed, trial.q_metrics, trial.flags)
 
     def test_trial_records_are_deterministic(self, tmp_path):
         a = run_campaign(small_config(tmp_path))
@@ -151,11 +167,10 @@ class TestRun:
         with pytest.raises(ValueError):
             run_campaign(cfg)
 
-    def test_search_best_family(self, tmp_path):
-        cfg = small_config(tmp_path, family="search_best", degree_ladder=(6,),
-                           trials_per_degree=5)
-        summary = run_campaign(cfg)
-        assert summary.degrees[0].degree == 6
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one_worker(self, tmp_path, workers):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_campaign(small_config(tmp_path), workers=workers)
 
     def test_freq_E_within_predicted_bound(self, tmp_path):
         import math
@@ -262,15 +277,36 @@ class TestEmit:
         assert lines == [",".join(SUMMARY_COLUMNS)]
         assert os.path.exists(paths["manifest"])
 
-    def test_empty_trial_columns_for_empty_q(self, tmp_path):
-        # force empties: degree 2 with alpha close to... use detect path
-        # instead: verify the CSV writer renders an empty-survivor row.
-        from newmanlab.experiment import TrialRecord
+    def test_empty_trial_columns_for_empty_q(self):
+        # alpha = 8**(-9/10) keeps about 1 in 6.5 coefficients of 1 + ... + x**8,
+        # so seed 3 leaves nothing in 10 of the first 40 trials.
+        p = NewmanPolynomial.all_ones(8)
+        cfg = SparsifyConfig(alpha_exponent=Fraction(9, 10), epsilon=0.5, seed=3)
+        records = [record_from_trial(sample(p, cfg, t)) for t in range(40)]
+        empty = [r for r in records if r.is_empty]
+        assert len(empty) == 10
+        assert all(r.flags.E and r.flags.D and not r.flags.clean for r in empty)
+        lines = trial_table_text(empty, "csv").splitlines()
+        assert lines[0] == ",".join(TRIAL_COLUMNS)
+        assert lines[1] == "1,11425928242767342472,0,,,,,,,1,1,0,"
+        assert all(line.split(",")[2:11] == ["0"] + [""] * 6 + ["1", "1"]
+                   for line in lines[1:])
 
-        record = TrialRecord(trial_index=0, trial_seed=1, l1_q=0, deg_q=None,
-                             height_q2=None, ratio=None, product=None,
-                             flag_E=True, flag_D=True, num_Ek=0,
-                             first_Ek_index=None)
-        row = record.to_csv_row()
-        assert row == ["0", "1", "0", "", "", "", "", "", "", "1", "1", "0", ""]
-        assert not record.successful and not record.clean
+    # SHA-256 of small_config's artifacts: a refactor leaves them unchanged,
+    # and a change to them is a change to the artifact format.
+    DIGESTS = {
+        "summary.csv": "7837b8cc7703aa1247ccfc68a6081a58968022a609a83816156836ab3f8cacfb",
+        "trials_degree_32.csv": "c14f4d2eaa0694dd645481ec70fc99b068297a143c9404957731eff2499fbc0b",
+        "trials_degree_64.csv": "e6252153bd88148786ea5c69548ab67d9e832d62674bf00a91d4603dc93474d8",
+        "summary.json": "e470564cde9a59d01331238914c4cb2e20747d3e40159458a7f51bda51d1b8cc",
+        "trials_degree_32.json": "e399b7413d674dbdb9f2f7b9b77acf7936c918b8127529990dd16ff1531fa316",
+        "trials_degree_64.json": "56d75506353dfabff141eac50f4c59ce320952ff35c9390790b2bbaf4558aeec",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_artifact_digests_are_pinned(self, tmp_path, fmt):
+        cfg = small_config(tmp_path, format=fmt)
+        emit_results(run_campaign(cfg))
+        for name in (f"summary.{fmt}", f"trials_degree_32.{fmt}", f"trials_degree_64.{fmt}"):
+            digest = hashlib.sha256(read(os.path.join(cfg.output_dir, name))).hexdigest()
+            assert digest == self.DIGESTS[name], name

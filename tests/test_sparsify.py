@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newmanlab.poly import NewmanPolynomial, metrics, parse_polynomial, square
+from newmanlab.poly import NewmanPolynomial, parse_polynomial, square
 from newmanlab.sparsify import (
     BadEventFlags,
     KeepMask,
@@ -348,10 +348,7 @@ class TestBadEvents:
         p = NewmanPolynomial.all_ones(100)
         cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=1)
         mask = KeepMask(np.ones(101, dtype=np.uint8))
-        trial_like = sample(p, cfg, 0)
-        flags = detect_bad_events(p, type(trial_like)(mask=mask, q_metrics=metrics(p),
-                                                      flags=trial_like.flags,
-                                                      trial_seed=0), cfg)
+        flags = detect_bad_events(p, mask, cfg)
         assert not flags.E
         assert not flags.D
         # keeping everything violates the height budget: (1+eps)*alpha^2 < 1
@@ -363,10 +360,7 @@ class TestBadEvents:
     def test_all_zeros_mask(self):
         p = NewmanPolynomial.all_ones(100)
         cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=1)
-        trial = sample(p, cfg, 0)
-        zero_trial = type(trial)(mask=KeepMask(np.zeros(101, dtype=np.uint8)),
-                                 q_metrics=None, flags=trial.flags, trial_seed=0)
-        flags = detect_bad_events(p, zero_trial, cfg)
+        flags = detect_bad_events(p, KeepMask(np.zeros(101, dtype=np.uint8)), cfg)
         assert flags.E and flags.D
         assert not flags.E_k_any
         assert flags.l1_deviation
@@ -376,7 +370,7 @@ class TestBadEvents:
         cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=99)
         for t in range(8):
             trial = sample(p, cfg, t)
-            assert detect_bad_events(p, trial, cfg) == trial.flags
+            assert detect_bad_events(p, trial.mask, cfg) == trial.flags
 
     def test_mismatched_mask_rejected(self):
         p = NewmanPolynomial.all_ones(10)
@@ -384,7 +378,7 @@ class TestBadEvents:
         trial = sample(p, cfg, 0)
         q = NewmanPolynomial.all_ones(12)
         with pytest.raises(ValueError):
-            detect_bad_events(q, trial, cfg)
+            detect_bad_events(q, trial.mask, cfg)
 
     def test_flags_invariant(self):
         with pytest.raises(ValueError):
@@ -414,6 +408,11 @@ class TestSample:
         trial = sample(p, cfg, 3)
         assert 0 <= trial.trial_seed < 2 ** 64
 
+    def test_trial_index_is_recorded(self):
+        p = NewmanPolynomial.all_ones(32)
+        cfg = SparsifyConfig(epsilon=0.1, seed=4)
+        assert [sample(p, cfg, t).trial_index for t in (0, 5)] == [0, 5]
+
     def test_negative_trial_index(self):
         p = NewmanPolynomial.all_ones(32)
         cfg = SparsifyConfig(epsilon=0.1)
@@ -433,10 +432,7 @@ class TestSample:
     def test_empty_survivor_via_detect(self):
         p = NewmanPolynomial.all_ones(50)
         cfg = SparsifyConfig(epsilon=0.5, seed=3)
-        trial = sample(p, cfg, 0)
-        zero = type(trial)(mask=KeepMask(np.zeros(51, dtype=np.uint8)),
-                           q_metrics=None, flags=trial.flags, trial_seed=0)
-        flags = detect_bad_events(p, zero, cfg)
+        flags = detect_bad_events(p, KeepMask(np.zeros(51, dtype=np.uint8)), cfg)
         assert flags.E and flags.D and not flags.E_k_any
 
     def test_binomial_mean_of_kept_mass(self):
@@ -516,11 +512,12 @@ class TestConclusion:
         p = NewmanPolynomial.all_ones(50)
         cfg = SparsifyConfig(epsilon=0.5, seed=3)
         empty = SparsifyTrial(
-            mask=KeepMask(np.zeros(51, dtype=np.uint8)),
+            trial_index=0,
+            trial_seed=0,
             q_metrics=None,
             flags=BadEventFlags(E=True, E_k_any=False, E_k_indices=(), D=True,
                                 l1_deviation=True),
-            trial_seed=0,
+            mask=KeepMask(np.zeros(51, dtype=np.uint8)),
         )
         with pytest.raises(ValueError):
             theorem_conclusion_check(p, empty, cfg)
