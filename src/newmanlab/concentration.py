@@ -35,8 +35,8 @@ def c_epsilon(epsilon: float) -> float:
     to cancellation.
     """
     e = float(epsilon)
-    if not e > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < e < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {e}")
     if e < _SERIES_CUTOFF:
         first = e * e / 2.0 - e ** 3 / 6.0
     else:
@@ -54,8 +54,8 @@ class ConcentrationQuery:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.mean < 0:
-            raise ValueError("mean must be nonnegative")
+        if not 0 <= self.mean < math.inf:
+            raise ValueError(f"mean must be nonnegative and finite, got {self.mean}")
 
 
 @dataclass(frozen=True)

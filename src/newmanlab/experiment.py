@@ -230,8 +230,8 @@ class CampaignSummary:
 def parse_campaign_file(path: str) -> CampaignConfig:
     """Read a campaign config from a `key = value` text file.
 
-    Lists are comma separated; `#` starts a comment.  Unknown keys are
-    rejected so typos fail loudly.
+    Lists are comma separated; `#` starts a comment.  Unknown and repeated
+    keys are rejected so typos fail loudly.
     """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -242,7 +242,10 @@ def parse_campaign_file(path: str) -> CampaignConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            values[key] = val.strip()
     unknown = set(values) - {f.name for f in fields(CampaignConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

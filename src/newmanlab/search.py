@@ -6,18 +6,24 @@ exhaustive mode additionally halves the space using the fact that a
 polynomial and its reversal share every metric used here.  Beyond the
 exhaustive cap a seeded annealing walk over interior bit flips and swaps
 takes over.
+
+Both modes score a candidate in one place, `_Incumbent.score`: the search
+builds the 0/1 array itself, so it is wrapped without re-validation and
+scored by one exact `Fraction`; a `RatioReport` is built only for a new
+incumbent.  The density floor becomes an integer term count, computed once
+per degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import exp
+from math import ceil, exp
 from typing import Optional
 
 import numpy as np
 
-from .poly import NewmanPolynomial, RatioReport, metrics
+from .poly import NewmanPolynomial, RatioReport, format_polynomial, metrics, square
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -98,8 +104,6 @@ class SearchResult:
     metadata: SearchMetadata
 
     def to_json_dict(self) -> dict:
-        from .poly import format_polynomial
-
         return {
             "best_polynomial": format_polynomial(self.best),
             "best": self.report.to_json_dict(),
@@ -137,18 +141,41 @@ def _reverse_bits(value: int, width: int) -> int:
     return out
 
 
-def _candidate_from_interior(interior: int, degree: int) -> NewmanPolynomial:
-    coeffs = np.zeros(degree + 1, dtype=np.uint8)
-    coeffs[0] = 1
-    coeffs[degree] = 1
-    for pos in range(1, degree):
-        if (interior >> (pos - 1)) & 1:
-            coeffs[pos] = 1
-    return NewmanPolynomial(coeffs)
+class _Incumbent:
+    """Best candidate so far at one degree: the one place that scores candidates."""
+
+    def __init__(self, degree: int, spec: SearchSpec):
+        # l1 >= floor * degree, as an integer: l1 >= min_l1.
+        self.min_l1 = ceil(spec.density_floor * degree)
+        self._weight = degree if spec.objective == "min_product" else 1
+        self.value: Optional[Fraction] = None
+        self.best: Optional[DegreeBest] = None
+
+    def score(self, coeffs: np.ndarray, meta: SearchMetadata, step: Optional[int] = None) -> Fraction:
+        """Objective value of the canonical 0/1 array `coeffs`, adopted and frozen.
+
+        A strict improvement becomes the incumbent, with its `RatioReport`,
+        and is recorded in the trajectory at `step` when one is given.
+        """
+        candidate = NewmanPolynomial._trusted(coeffs, np.flatnonzero(coeffs))
+        sq = square(candidate)
+        l1 = candidate.l1
+        value = Fraction(sq.height * self._weight, l1 * l1)
+        meta.candidates_examined += 1
+        if self.value is None or value < self.value:
+            self.value = value
+            self.best = DegreeBest(candidate.degree, candidate, metrics(candidate, sq))
+            if step is not None:
+                meta.trajectory.append((step, value))
+        return value
 
 
-def _density_ok(l1: int, degree: int, floor: Fraction) -> bool:
-    return Fraction(l1) >= floor * degree
+def _result(table: list[DegreeBest], spec: SearchSpec, meta: SearchMetadata) -> SearchResult:
+    if not table:
+        raise ValueError("no candidate satisfies the density floor in the degree range")
+    # min keeps the first of equal minima: the lowest such degree.
+    best = min(table, key=lambda row: _objective_value(row.report, spec.objective))
+    return SearchResult(best=best.polynomial, report=best.report, degree_table=table, metadata=meta)
 
 
 def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> SearchResult:
@@ -162,53 +189,36 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
         raise ValueError("spec.mode must be 'exhaustive'")
     meta = SearchMetadata(mode="exhaustive", seed=spec.seed)
     table: list[DegreeBest] = []
-    best_entry: Optional[DegreeBest] = None
-    best_value: Optional[Fraction] = None
     for degree in range(spec.min_degree, spec.max_degree + 1):
         width = degree - 1
-        degree_best: Optional[DegreeBest] = None
-        degree_value: Optional[Fraction] = None
+        bits = np.arange(width)
+        incumbent = _Incumbent(degree, spec)
         for interior in range(1 << width):
             if use_reversal_symmetry and _reverse_bits(interior, width) < interior:
                 meta.reversal_skipped += 1
                 continue
-            l1 = interior.bit_count() + 2
-            if not _density_ok(l1, degree, spec.density_floor):
+            if interior.bit_count() + 2 < incumbent.min_l1:
                 meta.density_rejected += 1
                 continue
-            candidate = _candidate_from_interior(interior, degree)
-            report = metrics(candidate)
-            meta.candidates_examined += 1
-            value = _objective_value(report, spec.objective)
-            if degree_value is None or value < degree_value:
-                degree_value = value
-                degree_best = DegreeBest(degree=degree, polynomial=candidate, report=report)
-        if degree_best is None:
-            continue  # density floor filtered everything at this degree
-        table.append(degree_best)
-        if best_value is None or degree_value < best_value:
-            best_value = degree_value
-            best_entry = degree_best
-    if best_entry is None:
-        raise ValueError("no candidate satisfies the density floor in the degree range")
-    return SearchResult(best=best_entry.polynomial, report=best_entry.report,
-                        degree_table=table, metadata=meta)
+            coeffs = np.ones(degree + 1, dtype=np.uint8)
+            coeffs[1:degree] = (interior >> bits) & 1
+            incumbent.score(coeffs, meta)
+        if incumbent.best is not None:  # else the floor filtered this degree out
+            table.append(incumbent.best)
+    return _result(table, spec, meta)
 
 
 def _random_start(
-    rng: np.random.Generator, degree: int, floor: Fraction, restart: int
+    rng: np.random.Generator, degree: int, floor: Fraction, min_l1: int, restart: int
 ) -> np.ndarray:
-    coeffs = np.zeros(degree + 1, dtype=np.uint8)
-    coeffs[0] = 1
-    coeffs[degree] = 1
+    coeffs = np.ones(degree + 1, dtype=np.uint8)
     if restart == 0:
-        coeffs[:] = 1  # the always-feasible dense start
-        return coeffs
+        return coeffs  # the always-feasible dense start
     density = max(float(floor), 0.5)
-    coeffs[1:degree] = rng.random(max(0, degree - 1)) < density
+    coeffs[1:degree] = rng.random(degree - 1) < density
     # Repair until feasible (floor <= 1 guarantees termination).
     interior = list(range(1, degree))
-    while not _density_ok(int(coeffs.sum()), degree, floor):
+    while int(coeffs.sum()) < min_l1:
         zeros = [j for j in interior if coeffs[j] == 0]
         coeffs[zeros[rng.integers(len(zeros))]] = 1
     return coeffs
@@ -224,25 +234,15 @@ def local_search(spec: SearchSpec) -> SearchResult:
         raise ValueError("spec.mode must be 'local_search'")
     meta = SearchMetadata(mode="local_search", seed=spec.seed)
     table: list[DegreeBest] = []
-    best_entry: Optional[DegreeBest] = None
-    best_value: Optional[Fraction] = None
     restarts = 4
     per_restart = spec.iteration_budget // restarts
     global_iter = 0
     for degree in range(spec.min_degree, spec.max_degree + 1):
-        degree_best: Optional[DegreeBest] = None
-        degree_value: Optional[Fraction] = None
+        incumbent = _Incumbent(degree, spec)
         for restart in range(restarts):
             rng = np.random.default_rng([spec.seed, degree, restart])
-            coeffs = _random_start(rng, degree, spec.density_floor, restart)
-            current = NewmanPolynomial(coeffs.copy())
-            current_report = metrics(current)
-            current_value = _objective_value(current_report, spec.objective)
-            meta.candidates_examined += 1
-            if degree_value is None or current_value < degree_value:
-                degree_value = current_value
-                degree_best = DegreeBest(degree, current, current_report)
-                meta.trajectory.append((global_iter, current_value))
+            coeffs = _random_start(rng, degree, spec.density_floor, incumbent.min_l1, restart)
+            current_value = incumbent.score(coeffs, meta, global_iter)
             if degree <= 1:
                 continue  # no interior bits to move
             temp_hi, temp_lo = 0.05, 1e-4
@@ -261,30 +261,16 @@ def local_search(spec: SearchSpec) -> SearchResult:
                         continue
                     proposal[ones[rng.integers(len(ones))]] = 0
                     proposal[zeros[rng.integers(len(zeros))]] = 1
-                l1 = int(proposal.sum())
-                if not _density_ok(l1, degree, spec.density_floor):
+                if int(proposal.sum()) < incumbent.min_l1:
                     meta.density_rejected += 1
                     continue
-                candidate = NewmanPolynomial(proposal.copy())
-                report = metrics(candidate)
-                meta.candidates_examined += 1
-                value = _objective_value(report, spec.objective)
+                value = incumbent.score(proposal, meta, global_iter)
                 delta = float(value - current_value)
                 if delta <= 0 or rng.random() < exp(-delta / temperature):
                     coeffs = proposal
                     current_value = value
-                if degree_value is None or value < degree_value:
-                    degree_value = value
-                    degree_best = DegreeBest(degree, candidate, report)
-                    meta.trajectory.append((global_iter, value))
-        assert degree_best is not None  # dense start is always feasible
-        table.append(degree_best)
-        if best_value is None or degree_value < best_value:
-            best_value = degree_value
-            best_entry = degree_best
-    assert best_entry is not None
-    return SearchResult(best=best_entry.polynomial, report=best_entry.report,
-                        degree_table=table, metadata=meta)
+        table.append(incumbent.best)  # the dense start is always feasible
+    return _result(table, spec, meta)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand, file outputs, error paths."""
 
+import hashlib
 import json
 
 import pytest
@@ -102,6 +103,16 @@ class TestChernoff:
         code, _, err = run(capsys, "chernoff", "--rho", "1/2")
         assert code == 1
 
+    def test_infinite_epsilon_rejected(self, capsys):
+        code, out, err = run(capsys, "chernoff", "--epsilon", "inf", "--mean", "10")
+        assert code == 1 and out == ""
+        assert err.startswith("newman: error:") and "epsilon" in err
+
+    def test_nan_mean_rejected(self, capsys):
+        code, out, err = run(capsys, "chernoff", "--epsilon", "1", "--mean", "nan")
+        assert code == 1 and out == ""
+        assert err.startswith("newman: error:") and "mean" in err
+
 
 class TestSparsify:
     def test_csv_rows(self, capsys):
@@ -189,6 +200,27 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--min-degree", "1",
                            "--max-degree", "29")
         assert code == 1 and "capped" in err
+
+    # SHA-256 of search_result.json and degree_table.csv, pinned so that a
+    # rewrite of the search loop must reproduce every byte of its output.
+    @pytest.mark.parametrize("argv, json_digest, csv_digest", [
+        (["--min-degree", "1", "--max-degree", "12"],
+         "da013568f9fb61aff74a1e6137f00b31920fbca77975d4f577cb3c2c004f839c",
+         "9fe2d6c5e4f3982ee97526a83ea58c5a8edacc3e7a06f07545a98c9c200391df"),
+        (["--min-degree", "1", "--max-degree", "8", "--objective", "min_ratio", "--floor", "1/2"],
+         "791dbc45833682c57526c7647514fc2d409b6309f4c51bf1166392ad64d6d4e6",
+         "29cc91369f52d91e4083d7e660e2b58a57825b79421b14916e41f6d2856093f5"),
+        (["--min-degree", "256", "--max-degree", "256", "--mode", "local_search",
+          "--floor", "1/2", "--budget", "2000", "--seed", "7"],
+         "d1d48c82296c14a370f0bfc1b1cf78bc79d6cdb0b5c9e9cc6b57e8ed9ca16103",
+         "b3afb13786b70da5f5db88d22cb296aa07030b082f3831f21676706d006f4c2c"),
+    ], ids=["exhaustive-1-12", "exhaustive-min-ratio-floor-half", "local-256"])
+    def test_pinned_output_bytes(self, capsys, tmp_path, argv, json_digest, csv_digest):
+        code, _, _ = run(capsys, "search", *argv, "--out", str(tmp_path))
+        assert code == 0
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("search_result.json", "degree_table.csv")]
+        assert digests == [json_digest, csv_digest]
 
 
 class TestExperiment:

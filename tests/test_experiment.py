@@ -98,6 +98,13 @@ format = csv
         with pytest.raises(ValueError):
             parse_campaign_file(str(path))
 
+    def test_parse_file_rejects_repeated_keys(self, tmp_path):
+        path = tmp_path / "dup.cfg"
+        path.write_text("family = all_ones\ndegree_ladder = 8\n"
+                        "trials_per_degree = 1\nseed = 1\nseed = 2\n")
+        with pytest.raises(ValueError, match=r"dup\.cfg:5: duplicate key 'seed'"):
+            parse_campaign_file(str(path))
+
     def test_parse_file_requires_core_keys(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("family = all_ones\n")

@@ -62,15 +62,28 @@ class TestExhaustive:
         assert with_sym.metadata.reversal_skipped > 0
         assert without.metadata.reversal_skipped == 0
 
-    def test_density_floor_one_keeps_only_dense_candidates(self):
-        res = exhaustive_search(SearchSpec(3, 8, density_floor=Fraction(1)))
+    # floor * degree is a whole number at some degrees and not at others,
+    # which exercises the ceiling taken on the term-count threshold.
+    @pytest.mark.parametrize("floor", [Fraction(1), Fraction(2, 3), Fraction(1, 2)],
+                             ids=["one", "two_thirds", "half"])
+    def test_density_floor_keeps_only_dense_candidates(self, floor):
+        # Without the reversal reduction every canonical candidate is either
+        # rejected by the floor or examined, so the rejections can be counted.
+        res = exhaustive_search(SearchSpec(3, 8, density_floor=floor),
+                                use_reversal_symmetry=False)
         for row in res.degree_table:
-            assert row.report.l1 >= row.degree  # feasibility
+            assert row.report.l1 >= floor * row.degree  # feasibility
             assert row.report.product <= Fraction(row.degree, row.degree + 1)
         # and the minima agree with the dumb enumerator under the same floor
         by_degree = {row.degree: row.report.product for row in res.degree_table}
         for degree in range(3, 9):
-            assert by_degree[degree] == naive_minimum(degree, floor=Fraction(1))
+            assert by_degree[degree] == naive_minimum(degree, floor=floor)
+        sparse = sum(
+            Fraction(interior.bit_count() + 2) < floor * degree
+            for degree in range(3, 9)
+            for interior in range(1 << (degree - 1))
+        )
+        assert res.metadata.density_rejected == sparse
 
     def test_density_rejections_counted(self):
         res = exhaustive_search(SearchSpec(6, 6, density_floor=Fraction(9, 10)))
@@ -144,8 +157,10 @@ class TestLocalSearch:
             hits += found == target
         assert hits >= 9
 
-    def test_respects_density_floor(self):
-        floor = Fraction(4, 5)
+    # At degree 10, floor * degree is whole for 1 and 1/2 but not for 2/3.
+    @pytest.mark.parametrize("floor", [Fraction(4, 5), Fraction(1), Fraction(2, 3), Fraction(1, 2)],
+                             ids=["four_fifths", "one", "two_thirds", "half"])
+    def test_respects_density_floor(self, floor):
         spec = SearchSpec(10, 10, mode="local_search", density_floor=floor,
                           iteration_budget=2000, seed=7)
         res = local_search(spec)
