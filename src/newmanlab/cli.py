@@ -36,11 +36,17 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r} ({exc})")
 
 
-def _add_common(parser: argparse.ArgumentParser, format_default: str = "json") -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+def _add_output(parser: argparse.ArgumentParser, format_default: str | None) -> None:
     parser.add_argument("--out", default=None, help="output file or directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=format_default,
-                        help="output format where applicable")
+    parser.add_argument("--format", choices=("csv", "json"), default=format_default)
+
+
+def _add_thinning(parser: argparse.ArgumentParser) -> None:
+    """SparsifyConfig's parameters other than the seed, with its defaults."""
+    for f in dataclasses.fields(SparsifyConfig):
+        if f.name != "seed":
+            parser.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                                type=float if f.name == "epsilon" else _fraction)
 
 
 def _add_poly_source(parser: argparse.ArgumentParser) -> None:
@@ -146,14 +152,8 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     if args.trials < 0:
         raise ValueError(f"--trials must be nonnegative, got {args.trials}")
     p = _load_polynomial(args)
-    config = SparsifyConfig(
-        alpha_exponent=args.alpha_exponent,
-        epsilon=args.epsilon,
-        c0=args.c0,
-        rho=args.rho,
-        rho_prime=args.rho_prime,
-        seed=args.seed,
-    )
+    config = SparsifyConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(SparsifyConfig)})
     p_height = square(p).height
     records = [
         record_from_trial(sample(p, config, t, p_square_height=p_height))
@@ -226,39 +226,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_square = sub.add_parser("square", help="exact coefficients of p**2")
-    _add_common(p_square)
+    _add_output(p_square, "json")
     _add_poly_source(p_square)
     p_square.set_defaults(func=_cmd_square)
 
     p_ratio = sub.add_parser("ratio", help="term count, square height and exact ratios")
-    _add_common(p_ratio)
+    _add_output(p_ratio, "json")
     _add_poly_source(p_ratio)
     p_ratio.set_defaults(func=_cmd_ratio)
 
     p_ch = sub.add_parser("chernoff", help="tail exponent, tail bounds, epsilon choice")
-    _add_common(p_ch)
-    p_ch.add_argument("--epsilon", type=float, default=None)
+    p_ch.add_argument("--out", default=None, help="output file")
+    _add_thinning(p_ch)
     p_ch.add_argument("--mean", type=float, default=None)
-    p_ch.add_argument("--rho", type=_fraction, default=None)
-    p_ch.add_argument("--rho-prime", type=_fraction, default=None)
     p_ch.add_argument("--n", type=int, default=None, help="degree for the low-mass bound")
-    p_ch.add_argument("--c0", type=_fraction, default=Fraction(1))
-    p_ch.add_argument("--alpha-exponent", type=_fraction, default=Fraction(1, 10))
     p_ch.set_defaults(func=_cmd_chernoff)
 
     p_sp = sub.add_parser("sparsify", help="seeded thinning trials, one row per trial")
-    _add_common(p_sp, format_default="csv")
+    p_sp.add_argument("--seed", type=int, default=0, help="master seed (64-bit unsigned)")
+    _add_output(p_sp, "csv")
     _add_poly_source(p_sp)
     p_sp.add_argument("--trials", type=int, default=100)
-    p_sp.add_argument("--alpha-exponent", type=_fraction, default=Fraction(1, 10))
-    p_sp.add_argument("--epsilon", type=float, default=None)
-    p_sp.add_argument("--rho", type=_fraction, default=None)
-    p_sp.add_argument("--rho-prime", type=_fraction, default=None)
-    p_sp.add_argument("--c0", type=_fraction, default=Fraction(1))
+    _add_thinning(p_sp)
     p_sp.set_defaults(func=_cmd_sparsify)
 
     p_se = sub.add_parser("search", help="extremal search over canonical candidates")
-    _add_common(p_se)
+    p_se.add_argument("--seed", type=int, default=0, help="local-search seed")
+    p_se.add_argument("--out", default=None, help="output directory")
     p_se.add_argument("--min-degree", type=int, required=True)
     p_se.add_argument("--max-degree", type=int, required=True)
     p_se.add_argument("--mode", choices=("exhaustive", "local_search"), default="exhaustive")
@@ -272,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex = sub.add_parser("experiment", help="run a campaign from a config file")
     p_ex.add_argument("--config", required=True)
     p_ex.add_argument("--seed", type=int, default=None)
-    p_ex.add_argument("--out", default=None)
-    p_ex.add_argument("--format", choices=("csv", "json"), default=None)
+    _add_output(p_ex, None)
     p_ex.add_argument("--trials", type=int, default=None,
                       help="override trials_per_degree")
     p_ex.add_argument("--workers", type=int, default=1)

@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -81,12 +81,13 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree_ladder", tuple(int(n) for n in self.degree_ladder))
-        object.__setattr__(self, "alpha_exponent", Fraction(self.alpha_exponent))
-        object.__setattr__(self, "c0", Fraction(self.c0))
-        if self.rho is not None:
-            object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho_prime is not None:
-            object.__setattr__(self, "rho_prime", Fraction(self.rho_prime))
+        # Rejects bad thinning parameters now, not at run time, and keeps the
+        # exact Fractions it makes of them.  A derived epsilon is not kept:
+        # it stays None here, and so in the hash.
+        scfg = self.sparsify_config()
+        for f in fields(SparsifyConfig):
+            if f.name != "epsilon":
+                object.__setattr__(self, f.name, getattr(scfg, f.name))
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}")
         if self.format not in _FORMATS:
@@ -99,34 +100,29 @@ class CampaignConfig:
             raise ValueError("from_file family needs family_file")
 
     def sparsify_config(self) -> SparsifyConfig:
-        return SparsifyConfig(
-            alpha_exponent=self.alpha_exponent,
-            epsilon=self.epsilon,
-            c0=self.c0,
-            rho=self.rho,
-            rho_prime=self.rho_prime,
-            seed=self.seed,
-        )
+        return SparsifyConfig(**{f.name: getattr(self, f.name) for f in fields(SparsifyConfig)})
 
     def canonical_dict(self) -> dict:
-        """Stable JSON-ready form used for hashing and the manifest."""
+        """Stable JSON-ready form used for hashing and the manifest: every field but output_dir."""
         return {
-            "family": self.family,
-            "family_file": self.family_file,
-            "degree_ladder": list(self.degree_ladder),
-            "trials_per_degree": self.trials_per_degree,
-            "alpha_exponent": str(self.alpha_exponent),
-            "epsilon": repr(self.epsilon) if self.epsilon is not None else None,
-            "rho": str(self.rho) if self.rho is not None else None,
-            "rho_prime": str(self.rho_prime) if self.rho_prime is not None else None,
-            "c0": str(self.c0),
-            "seed": self.seed,
-            "format": self.format,
+            f.name: _canonical(getattr(self, f.name))
+            for f in fields(self) if f.name != "output_dir"
         }
 
     def sha256(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _canonical(value):
+    """A config value as the manifest and the hash render it."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -174,14 +170,8 @@ class DegreeSummary:
         return round(self.product_mean * MEAN_PROXY_DEN)
 
     def to_csv_row(self) -> list[str]:
-        proxy = self.mean_product_proxy()
-        return [
-            str(self.degree), repr(self.alpha), repr(self.epsilon), str(self.trials),
-            repr(self.freq_E), repr(self.freq_Ek), repr(self.freq_D), repr(self.freq_clean),
-            "" if proxy is None else str(proxy),
-            "" if proxy is None else str(MEAN_PROXY_DEN),
-            repr(self.bound_E_raw), repr(self.bound_E_clamped),
-        ]
+        row = self.to_json_dict()
+        return ["" if row[name] is None else repr(row[name]) for name in SUMMARY_COLUMNS]
 
     def to_json_dict(self) -> dict:
         def frac12(v: Optional[Fraction]) -> Optional[str]:
@@ -220,18 +210,32 @@ class CampaignSummary:
     epsilon: float
     degrees: list[DegreeSummary] = field(default_factory=list)
     trials: dict[int, list[TrialRecord]] = field(default_factory=dict)
-    rng_algorithm: str = RNG_ALGORITHM
 
-    @property
-    def master_seed(self) -> int:
-        return self.config.seed
+
+def _parse_ladder(text: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+# How parse_campaign_file converts a key's value; any other key stays a string.
+_PARSERS = {
+    "degree_ladder": _parse_ladder,
+    "trials_per_degree": int,
+    "seed": int,
+    "epsilon": float,
+    "alpha_exponent": Fraction,
+    "rho": Fraction,
+    "rho_prime": Fraction,
+    "c0": Fraction,
+}
 
 
 def parse_campaign_file(path: str) -> CampaignConfig:
     """Read a campaign config from a `key = value` text file.
 
-    Lists are comma separated; `#` starts a comment.  Unknown and repeated
-    keys are rejected so typos fail loudly.
+    The keys are the `CampaignConfig` fields; an omitted key takes the
+    field's default.  Lists are comma separated; `#` starts a comment.
+    Unknown, repeated, missing and malformed keys are rejected, naming the
+    file, so typos fail loudly.
     """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -246,28 +250,23 @@ def parse_campaign_file(path: str) -> CampaignConfig:
             if key in values:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             values[key] = val.strip()
-    unknown = set(values) - {f.name for f in fields(CampaignConfig)}
+    config_fields = fields(CampaignConfig)
+    unknown = set(values) - {f.name for f in config_fields}
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    if "family" not in values or "degree_ladder" not in values or "trials_per_degree" not in values:
-        raise ValueError("config needs family, degree_ladder and trials_per_degree")
-    ladder = tuple(
-        int(tok.strip()) for tok in values["degree_ladder"].split(",") if tok.strip()
-    )
-    return CampaignConfig(
-        family=values["family"],
-        degree_ladder=ladder,
-        trials_per_degree=int(values["trials_per_degree"]),
-        alpha_exponent=Fraction(values.get("alpha_exponent", "1/10")),
-        epsilon=float(values["epsilon"]) if "epsilon" in values else None,
-        rho=Fraction(values["rho"]) if "rho" in values else None,
-        rho_prime=Fraction(values["rho_prime"]) if "rho_prime" in values else None,
-        c0=Fraction(values.get("c0", "1")),
-        seed=int(values.get("seed", "0")),
-        output_dir=values.get("output_dir", "results"),
-        format=values.get("format", "csv"),
-        family_file=values.get("family_file"),
-    )
+        raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+    missing = [f.name for f in config_fields if f.default is MISSING and f.name not in values]
+    if missing:
+        raise ValueError(f"{path}: config needs {', '.join(missing)}")
+    kwargs = {}
+    for key, text in values.items():
+        try:
+            kwargs[key] = _PARSERS.get(key, str)(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{path}: bad {key} = {text!r} ({exc})") from exc
+    try:
+        return CampaignConfig(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _family_polynomial(config: CampaignConfig, degree: int) -> NewmanPolynomial:
@@ -414,20 +413,14 @@ def trial_table_text(records: list[TrialRecord], format: str) -> str:
     return json.dumps([dict(zip(TRIAL_COLUMNS, row)) for row in rows], indent=2) + "\n"
 
 
-def emit_results(
-    summary: CampaignSummary,
-    format: Optional[str] = None,
-    output_dir: Optional[str] = None,
-) -> dict[str, str]:
+def emit_results(summary: CampaignSummary) -> dict[str, str]:
     """Write summary, per-degree trial tables and the manifest; returns paths.
 
     Output is deterministic: fixed column orders, shortest-round-trip float
     formatting, LF newlines, and no timestamps.
     """
-    fmt = summary.config.format if format is None else format
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be one of {_FORMATS}")
-    out_dir = summary.config.output_dir if output_dir is None else output_dir
+    fmt = summary.config.format
+    out_dir = summary.config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     paths: dict[str, str] = {}
 
@@ -456,8 +449,8 @@ def emit_results(
     manifest = {
         "artifact": "newmanlab",
         "version": __version__,
-        "rng_algorithm": summary.rng_algorithm,
-        "master_seed": summary.master_seed,
+        "rng_algorithm": RNG_ALGORITHM,
+        "master_seed": summary.config.seed,
         "epsilon": repr(summary.epsilon),
         "config": summary.config.canonical_dict(),
         "config_sha256": summary.config.sha256(),

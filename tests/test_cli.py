@@ -268,6 +268,14 @@ class TestExperiment:
         assert err == f"newman: error: workers must be at least 1, got {workers}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_zero_denominator_is_a_clean_error(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("family = all_ones\ndegree_ladder = 16\ntrials_per_degree = 4\n"
+                       "rho = 1/0\nrho_prime = 19/20\n")
+        code, _, err = run(capsys, "experiment", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith(f"newman: error: {cfg}: bad rho = '1/0'")
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "--config",
                            str(tmp_path / "nope.cfg"))
@@ -283,6 +291,19 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    # Each subcommand takes only the flags it reads.
+    @pytest.mark.parametrize("argv", [
+        ["search", "--min-degree", "1", "--max-degree", "2", "--format", "csv"],
+        ["chernoff", "--epsilon", "0.1", "--format", "csv"],
+        ["square", "--all-ones", "2", "--seed", "1"],
+        ["ratio", "--all-ones", "2", "--seed", "1"],
+        ["chernoff", "--epsilon", "0.1", "--seed", "1"],
+    ], ids=["search-format", "chernoff-format", "square-seed", "ratio-seed", "chernoff-seed"])
+    def test_unread_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_poly_sources_are_exclusive(self):
         with pytest.raises(SystemExit):

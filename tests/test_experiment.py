@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,38 @@ class TestConfig:
     def test_hash_tracks_seed(self, tmp_path):
         assert small_config(tmp_path).sha256() != small_config(tmp_path, seed=1).sha256()
 
+    # SHA-256 of four configs, pinned so that a change to how a config is
+    # rendered for hashing shows up as a change to these digests.
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(epsilon=0.3, rho=None, rho_prime=None),
+         "d2dd4795da38039447c27cb6911c249a7b8660d94c89b60df42346a78f8979c2"),
+        (dict(),
+         "e8bae5e3c364c330baef9d5ba328b2a2e5b2bfa0aee5246c6fd1778a93c0f384"),
+        (dict(epsilon=0.02),
+         "cb2c5918e239981da39a783f64099f63a406f040b7fb23292c6083f5c136bb61"),
+        (dict(family="from_file", family_file="family.txt", degree_ladder=(8, 16),
+              format="json"),
+         "22cb4a15fb63717f85ce844d8fb677ef9cf2bdbb487bcc8ff30bc7fdb418be84"),
+    ], ids=["epsilon-given", "epsilon-derived", "both-given", "from-file-json"])
+    def test_hash_is_pinned(self, tmp_path, overrides, digest):
+        assert small_config(tmp_path, **overrides).sha256() == digest
+
+    def test_parse_file_reads_back_every_field(self, tmp_path):
+        cfg = CampaignConfig(
+            family="from_file", degree_ladder=(8, 16), trials_per_degree=3,
+            alpha_exponent=Fraction(1, 5), epsilon=0.02, rho=Fraction(8, 9),
+            rho_prime=Fraction(19, 20), c0=Fraction(1, 2), seed=9,
+            output_dir=str(tmp_path / "out"), format="json", family_file="family.txt",
+        )
+
+        def text(value):
+            return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+        path = tmp_path / "every.cfg"
+        path.write_text("".join(f"{f.name} = {text(getattr(cfg, f.name))}\n"
+                                for f in fields(CampaignConfig)))
+        assert parse_campaign_file(str(path)) == cfg
+
     def test_parse_file_round_trip(self, tmp_path):
         text = """
 # demo campaign
@@ -103,6 +136,29 @@ format = csv
         path.write_text("family = all_ones\ndegree_ladder = 8\n"
                         "trials_per_degree = 1\nseed = 1\nseed = 2\n")
         with pytest.raises(ValueError, match=r"dup\.cfg:5: duplicate key 'seed'"):
+            parse_campaign_file(str(path))
+
+    @pytest.mark.parametrize("lines, message", [
+        ("", "epsilon must be given"),
+        ("epsilon = 0.3\nalpha_exponent = 2\n", "alpha_exponent must lie in"),
+        ("epsilon = 0.3\nseed = -1\n", "seed must be a 64-bit"),
+    ], ids=["no-epsilon-no-rho-pair", "alpha-exponent-2", "negative-seed"])
+    def test_parse_file_rejects_bad_thinning_parameters(self, tmp_path, lines, message):
+        path = tmp_path / "thin.cfg"
+        path.write_text("family = all_ones\ndegree_ladder = 8\ntrials_per_degree = 1\n" + lines)
+        with pytest.raises(ValueError, match=rf"thin\.cfg: {message}"):
+            parse_campaign_file(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("rho", "1/0"), ("rho_prime", "1/0"), ("alpha_exponent", "1/0"), ("c0", "1/0"),
+        ("degree_ladder", "8, x"),
+    ])
+    def test_parse_file_names_the_file_and_key_of_a_bad_value(self, tmp_path, key, value):
+        values = {"family": "all_ones", "degree_ladder": "8", "trials_per_degree": "1",
+                  "epsilon": "0.3", key: value}
+        path = tmp_path / "bad.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        with pytest.raises(ValueError, match=rf"bad\.cfg: bad {key} = "):
             parse_campaign_file(str(path))
 
     def test_parse_file_requires_core_keys(self, tmp_path):
