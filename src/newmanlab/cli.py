@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from fractions import Fraction
@@ -18,14 +17,17 @@ from .concentration import (
     tail_bound,
 )
 from .experiment import (
+    csv_text,
     emit_results,
+    json_text,
     parse_campaign_file,
     record_from_trial,
     run_campaign,
     trial_table_text,
+    write_text,
 )
 from .poly import NewmanPolynomial, format_polynomial, metrics, parse_polynomial, square
-from .search import SearchSpec, exhaustive_search, local_search
+from .search import DEGREE_TABLE_COLUMNS, SearchSpec, exhaustive_search, local_search
 from .sparsify import SparsifyConfig, sample
 
 
@@ -70,24 +72,11 @@ def _load_polynomial(args: argparse.Namespace) -> NewmanPolynomial:
     return parse_polynomial(text, args.poly_format)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        parent = os.path.dirname(out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
-
-
 def _cmd_square(args: argparse.Namespace) -> int:
     p = _load_polynomial(args)
     sq = square(p)
     if args.format == "csv":
-        lines = ["k,coefficient"]
-        lines.extend(f"{k},{v}" for k, v in enumerate(sq.to_list()))
-        _emit("\n".join(lines), args.out)
+        write_text(args.out, csv_text(["k", "coefficient"], enumerate(sq.to_list())))
     else:
         payload = {
             "polynomial": format_polynomial(p),
@@ -95,7 +84,7 @@ def _cmd_square(args: argparse.Namespace) -> int:
             "l1": p.l1,
             "square": sq.to_list(),
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        write_text(args.out, json_text(payload))
     return 0
 
 
@@ -104,10 +93,9 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     report = metrics(p)
     payload = {"polynomial": format_polynomial(p), **report.to_json_dict()}
     if args.format == "csv":
-        keys = list(payload)
-        _emit(",".join(keys) + "\n" + ",".join(str(payload[k]) for k in keys), args.out)
+        write_text(args.out, csv_text(list(payload), [payload.values()]))
     else:
-        _emit(json.dumps(payload, indent=2), args.out)
+        write_text(args.out, json_text(payload))
     return 0
 
 
@@ -144,7 +132,7 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
             }
     if not payload:
         raise ValueError("nothing to compute: give --epsilon or --rho/--rho-prime")
-    _emit(json.dumps(payload, indent=2), args.out)
+    write_text(args.out, json_text(payload))
     return 0
 
 
@@ -159,7 +147,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
         record_from_trial(sample(p, config, t, p_square_height=p_height))
         for t in range(args.trials)
     ]
-    _emit(trial_table_text(records, args.format), args.out)
+    write_text(args.out, trial_table_text(records, args.format))
     return 0
 
 
@@ -174,37 +162,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
         iteration_budget=args.budget,
     )
     result = exhaustive_search(spec) if spec.mode == "exhaustive" else local_search(spec)
-    payload = json.dumps(result.to_json_dict(), indent=2)
+    payload = result.to_json_dict()
     if args.out is None:
-        _emit(payload, None)
+        write_text(None, json_text(payload))
     else:
-        os.makedirs(args.out, exist_ok=True)
-        _emit(payload, os.path.join(args.out, "search_result.json"))
-        lines = ["degree,polynomial,l1,height,ratio_num,ratio_den,product_num,product_den"]
-        for row in result.degree_table:
-            rep = row.report
-            lines.append(
-                f"{row.degree},\"{format_polynomial(row.polynomial)}\",{rep.l1},{rep.height},"
-                f"{rep.ratio.numerator},{rep.ratio.denominator},"
-                f"{rep.product.numerator},{rep.product.denominator}"
-            )
-        _emit("\n".join(lines), os.path.join(args.out, "degree_table.csv"))
+        write_text(os.path.join(args.out, "search_result.json"), json_text(payload))
+        rows = [[row[c] for c in DEGREE_TABLE_COLUMNS] for row in payload["degree_table"]]
+        write_text(os.path.join(args.out, "degree_table.csv"),
+                   csv_text(DEGREE_TABLE_COLUMNS, rows))
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = parse_campaign_file(args.config)
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.trials is not None:
-        overrides["trials_per_degree"] = args.trials
-    if args.format is not None:
-        overrides["format"] = args.format
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+    flags = {"seed": args.seed, "output_dir": args.out,
+             "trials_per_degree": args.trials, "format": args.format}
+    config = parse_campaign_file(args.config, **{k: v for k, v in flags.items() if v is not None})
     summary = run_campaign(config, workers=args.workers)
     paths = emit_results(summary)
     sys.stdout.write(f"wrote {paths['manifest']}\n")

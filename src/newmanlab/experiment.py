@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -42,6 +43,9 @@ __all__ = [
     "record_from_trial",
     "parse_campaign_file",
     "run_campaign",
+    "csv_text",
+    "json_text",
+    "write_text",
     "trial_table_text",
     "emit_results",
 ]
@@ -82,25 +86,28 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree_ladder", tuple(int(n) for n in self.degree_ladder))
         # Rejects bad thinning parameters now, not at run time, and keeps the
-        # exact Fractions it makes of them.  A derived epsilon is not kept:
-        # it stays None here, and so in the hash.
-        scfg = self.sparsify_config()
+        # exact Fractions it makes of them.  A derived epsilon is not copied
+        # back: it stays None here, and so in the hash.  The run reuses scfg.
+        scfg = SparsifyConfig(**{f.name: getattr(self, f.name) for f in fields(SparsifyConfig)})
         for f in fields(SparsifyConfig):
             if f.name != "epsilon":
                 object.__setattr__(self, f.name, getattr(scfg, f.name))
+        object.__setattr__(self, "_sparsify_config", scfg)
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {_FAMILIES}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if any(b <= a for a, b in zip(self.degree_ladder, self.degree_ladder[1:])):
             raise ValueError("degree ladder must be strictly increasing")
+        if self.degree_ladder and self.degree_ladder[0] < 1:
+            raise ValueError(f"degree_ladder degrees must be at least 1, got {self.degree_ladder[0]}")
         if self.degree_ladder and self.trials_per_degree < 1:
             raise ValueError("trials_per_degree must be at least 1")
         if self.family == "from_file" and not self.family_file:
             raise ValueError("from_file family needs family_file")
 
     def sparsify_config(self) -> SparsifyConfig:
-        return SparsifyConfig(**{f.name: getattr(self, f.name) for f in fields(SparsifyConfig)})
+        return self._sparsify_config
 
     def canonical_dict(self) -> dict:
         """Stable JSON-ready form used for hashing and the manifest: every field but output_dir."""
@@ -169,10 +176,6 @@ class DegreeSummary:
             return None
         return round(self.product_mean * MEAN_PROXY_DEN)
 
-    def to_csv_row(self) -> list[str]:
-        row = self.to_json_dict()
-        return ["" if row[name] is None else repr(row[name]) for name in SUMMARY_COLUMNS]
-
     def to_json_dict(self) -> dict:
         def frac12(v: Optional[Fraction]) -> Optional[str]:
             if v is None:
@@ -229,13 +232,14 @@ _PARSERS = {
 }
 
 
-def parse_campaign_file(path: str) -> CampaignConfig:
+def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
     """Read a campaign config from a `key = value` text file.
 
     The keys are the `CampaignConfig` fields; an omitted key takes the
     field's default.  Lists are comma separated; `#` starts a comment.
     Unknown, repeated, missing and malformed keys are rejected, naming the
-    file, so typos fail loudly.
+    file, so typos fail loudly.  `overrides` are field values that replace
+    the file's before the config is built.
     """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -263,6 +267,7 @@ def parse_campaign_file(path: str) -> CampaignConfig:
             kwargs[key] = _PARSERS.get(key, str)(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}: bad {key} = {text!r} ({exc})") from exc
+    kwargs.update(overrides)
     try:
         return CampaignConfig(**kwargs)
     except ValueError as exc:
@@ -378,15 +383,33 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     return summary
 
 
-def _write_text(path: str, text: str) -> None:
+def write_text(path: Optional[str], text: str) -> None:
+    """Write `text` to stdout, or to `path` as UTF-8 after creating its directory."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def csv_text(header: list[str], rows) -> str:
+    """A CSV table, one LF-terminated line per row.
+
+    None is an empty cell, and a cell holding a comma is quoted.
+    """
+    def cell(value) -> str:
+        text = "" if value is None else str(value)
+        return f'"{text}"' if "," in text else text
+
+    return "".join(",".join(map(cell, line)) + "\n" for line in [header, *rows])
+
+
+def json_text(payload, sort_keys: bool = False) -> str:
+    """A JSON document, indented by two spaces and LF-terminated."""
+    return json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n"
 
 
 def _trial_row(record: TrialRecord) -> list[str]:
@@ -409,8 +432,8 @@ def trial_table_text(records: list[TrialRecord], format: str) -> str:
     """One trial table in `format` ("csv" or "json"), as the campaign writes it."""
     rows = [_trial_row(r) for r in records]
     if format == "csv":
-        return _csv_text(TRIAL_COLUMNS, rows)
-    return json.dumps([dict(zip(TRIAL_COLUMNS, row)) for row in rows], indent=2) + "\n"
+        return csv_text(TRIAL_COLUMNS, rows)
+    return json_text([dict(zip(TRIAL_COLUMNS, row)) for row in rows])
 
 
 def emit_results(summary: CampaignSummary) -> dict[str, str]:
@@ -421,28 +444,23 @@ def emit_results(summary: CampaignSummary) -> dict[str, str]:
     """
     fmt = summary.config.format
     out_dir = summary.config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     paths: dict[str, str] = {}
 
+    summary_name = f"summary.{fmt}"
+    rows = [row.to_json_dict() for row in summary.degrees]
     if fmt == "csv":
-        summary_name = "summary.csv"
-        summary_text = _csv_text(
-            SUMMARY_COLUMNS, [row.to_csv_row() for row in summary.degrees]
-        )
+        summary_text = csv_text(SUMMARY_COLUMNS, [[row[c] for c in SUMMARY_COLUMNS] for row in rows])
     else:
-        summary_name = "summary.json"
-        summary_text = json.dumps(
-            [row.to_json_dict() for row in summary.degrees], indent=2
-        ) + "\n"
+        summary_text = json_text(rows)
     summary_path = os.path.join(out_dir, summary_name)
-    _write_text(summary_path, summary_text)
+    write_text(summary_path, summary_text)
     paths["summary"] = summary_path
 
     trial_files: dict[str, str] = {}
     for degree in summary.config.degree_ladder:
         name = f"trials_degree_{degree}.{fmt}"
         path = os.path.join(out_dir, name)
-        _write_text(path, trial_table_text(summary.trials.get(degree, []), fmt))
+        write_text(path, trial_table_text(summary.trials.get(degree, []), fmt))
         trial_files[str(degree)] = name
     paths["trials"] = out_dir
 
@@ -461,6 +479,6 @@ def emit_results(summary: CampaignSummary) -> dict[str, str]:
         "mean_product_den_proxy": MEAN_PROXY_DEN,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    _write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(manifest_path, json_text(manifest, sort_keys=True))
     paths["manifest"] = manifest_path
     return paths

@@ -27,6 +27,7 @@ from .poly import NewmanPolynomial, RatioReport, format_polynomial, metrics, squ
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
+    "DEGREE_TABLE_COLUMNS",
     "SearchSpec",
     "DegreeBest",
     "SearchMetadata",
@@ -94,6 +95,13 @@ class SearchMetadata:
     reversal_skipped: int = 0
     density_rejected: int = 0
     trajectory: list[tuple[int, Fraction]] = field(default_factory=list)
+
+
+# The columns of degree_table.csv: cells of the JSON `degree_table` rows.
+DEGREE_TABLE_COLUMNS = [
+    "degree", "polynomial", "l1", "height",
+    "ratio_num", "ratio_den", "product_num", "product_den",
+]
 
 
 @dataclass

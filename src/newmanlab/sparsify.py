@@ -166,21 +166,20 @@ class BadEventFlags:
 
     `E`: kept mass fell below (1-eps) of its expectation.
     `E_k_indices`: every k whose squared coefficient overshot the height
-    budget (1+eps)*alpha**2*height(p**2); `E_k_any` mirrors nonemptiness.
+    budget (1+eps)*alpha**2*height(p**2); `E_k_any` is its nonemptiness.
     `D`: degree of q collapsed to at most (c0/2)*N.
     `l1_deviation`: two-sided diagnostic |mass - alpha*l1(p)| > eps*alpha*l1(p);
     reported separately because `E` itself is one-sided.
     """
 
     E: bool
-    E_k_any: bool
     E_k_indices: tuple[int, ...]
     D: bool
     l1_deviation: bool
 
-    def __post_init__(self) -> None:
-        if self.E_k_any != bool(self.E_k_indices):
-            raise ValueError("E_k_any must mirror nonemptiness of E_k_indices")
+    @property
+    def E_k_any(self) -> bool:
+        return bool(self.E_k_indices)
 
     @property
     def clean(self) -> bool:
@@ -513,7 +512,6 @@ def _thin(
         overs = tuple(int(k) for k in np.flatnonzero(q_square.coefficients > cutoffs.height))
     flags = BadEventFlags(
         E=kept.size < cutoffs.low_mass,
-        E_k_any=bool(overs),
         E_k_indices=overs,
         D=report is None or report.degree <= cutoffs.degree,
         l1_deviation=abs(kept.size - cutoffs.expected_mass) > cutoffs.allowance,
@@ -552,14 +550,11 @@ def detect_bad_events(
     p: NewmanPolynomial,
     mask: KeepMask,
     config: SparsifyConfig,
-    p_square_height: Optional[int] = None,
 ) -> BadEventFlags:
     """Compute the flags of thinning p by mask (exact, side-effect free)."""
     if len(mask) != p.degree + 1:
         raise ValueError("mask length does not match polynomial degree")
-    if p_square_height is None:
-        p_square_height = square(p).height
-    cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
+    cutoffs = _cutoffs(p.degree, p.l1, square(p).height, config)
     return _thin(p, mask.bits, cutoffs)[1]
 
 
@@ -567,7 +562,6 @@ def theorem_conclusion_check(
     p: NewmanPolynomial,
     trial: TrialRecord,
     config: SparsifyConfig,
-    p_metrics: Optional[RatioReport] = None,
 ) -> ConclusionReport:
     """Exact amplified-product check for a clean trial.
 
@@ -579,8 +573,7 @@ def theorem_conclusion_check(
         raise ValueError("trial produced the empty polynomial")
     if not trial.flags.clean:
         raise ValueError("trial has bad events; the conclusion check does not apply")
-    if p_metrics is None:
-        p_metrics = metrics(p)
+    p_metrics = metrics(p)
     fe = Fraction(config.epsilon)
     amplification = (1 + fe) / (1 - fe) ** 2
     amplified = amplification * p_metrics.product

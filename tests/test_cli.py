@@ -1,10 +1,13 @@
 """CLI surface: every subcommand, file outputs, error paths."""
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
 
+import newmanlab.sparsify
 from newmanlab.cli import main
 from newmanlab.experiment import SUMMARY_COLUMNS, TRIAL_COLUMNS
 
@@ -70,9 +73,9 @@ class TestRatio:
 
     def test_csv_single_row(self, capsys):
         code, out, _ = run(capsys, "ratio", "--poly", "0,1", "--format", "csv")
-        header, row = out.splitlines()
-        assert header.split(",")[0] == "polynomial"
-        assert row.split(",")[0] == "0,1".split(",")[0]  # polynomial column first
+        header, row = csv.reader(io.StringIO(out))
+        assert len(row) == len(header)
+        assert dict(zip(header, row))["polynomial"] == "0,1"
 
 
 class TestChernoff:
@@ -190,6 +193,15 @@ class TestSearch:
         assert len(table) == 6
         assert result["metadata"]["mode"] == "exhaustive"
 
+    def test_degree_table_csv_reads_back_as_the_json_table(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "search", "--min-degree", "1", "--max-degree", "6",
+                         "--out", str(tmp_path))
+        assert code == 0
+        result = json.loads((tmp_path / "search_result.json").read_text())
+        with open(tmp_path / "degree_table.csv", newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert rows == [[str(row[c]) for c in header] for row in result["degree_table"]]
+
     def test_local_mode(self, capsys):
         code, out, _ = run(capsys, "search", "--min-degree", "6", "--max-degree", "6",
                            "--mode", "local_search", "--budget", "500", "--seed", "3")
@@ -267,6 +279,29 @@ class TestExperiment:
         assert code == 1
         assert err == f"newman: error: workers must be at least 1, got {workers}\n"
         assert not (tmp_path / "o").exists()
+
+    def test_chooses_epsilon_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        choose = newmanlab.sparsify.choose_epsilon
+        monkeypatch.setattr(newmanlab.sparsify, "choose_epsilon",
+                            lambda *a: calls.append(a) or choose(*a))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("family = all_ones\ndegree_ladder = 16\ntrials_per_degree = 2\n"
+                       "rho = 8/9\nrho_prime = 19/20\n")
+        code, _, _ = run(capsys, "experiment", "--config", str(cfg), "--seed", "3",
+                         "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("ladder", ["0", "-5, 8"])
+    def test_rejects_ladder_degrees_below_one(self, capsys, tmp_path, ladder):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"family = all_ones\ndegree_ladder = {ladder}\n"
+                       "trials_per_degree = 2\nepsilon = 0.3\n")
+        code, _, err = run(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith(f"newman: error: {cfg}: degree_ladder ")
 
     def test_zero_denominator_is_a_clean_error(self, capsys, tmp_path):
         cfg = tmp_path / "c.cfg"

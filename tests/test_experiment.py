@@ -161,6 +161,17 @@ format = csv
         with pytest.raises(ValueError, match=rf"bad\.cfg: bad {key} = "):
             parse_campaign_file(str(path))
 
+    def test_parse_file_overrides_replace_file_values(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("family = all_ones\ndegree_ladder = 8\ntrials_per_degree = 1\n"
+                        "epsilon = 0.3\nseed = 1\n")
+        cfg = parse_campaign_file(str(path), seed=2, trials_per_degree=3)
+        assert (cfg.seed, cfg.trials_per_degree) == (2, 3)
+        # A required key must be in the file itself, even when overridden.
+        path.write_text("family = all_ones\ndegree_ladder = 8\nepsilon = 0.3\n")
+        with pytest.raises(ValueError, match="config needs trials_per_degree"):
+            parse_campaign_file(str(path), trials_per_degree=3)
+
     def test_parse_file_requires_core_keys(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("family = all_ones\n")

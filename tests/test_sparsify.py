@@ -380,11 +380,6 @@ class TestBadEvents:
         with pytest.raises(ValueError):
             detect_bad_events(q, trial.mask, cfg)
 
-    def test_flags_invariant(self):
-        with pytest.raises(ValueError):
-            BadEventFlags(E=False, E_k_any=True, E_k_indices=(), D=False,
-                          l1_deviation=False)
-
 
 class TestSample:
     def test_deterministic_replay(self):
@@ -515,8 +510,7 @@ class TestConclusion:
             trial_index=0,
             trial_seed=0,
             q_metrics=None,
-            flags=BadEventFlags(E=True, E_k_any=False, E_k_indices=(), D=True,
-                                l1_deviation=True),
+            flags=BadEventFlags(E=True, E_k_indices=(), D=True, l1_deviation=True),
             mask=KeepMask(np.zeros(51, dtype=np.uint8)),
         )
         with pytest.raises(ValueError):
