@@ -239,7 +239,8 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
     field's default.  Lists are comma separated; `#` starts a comment.
     Unknown, repeated, missing and malformed keys are rejected, naming the
     file, so typos fail loudly.  `overrides` are field values that replace
-    the file's before the config is built.
+    the file's before the config is built; an invalid override is reported
+    without the file's name, as the file is not at fault.
     """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -267,11 +268,15 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
             kwargs[key] = _PARSERS.get(key, str)(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{path}: bad {key} = {text!r} ({exc})") from exc
-    kwargs.update(overrides)
     try:
-        return CampaignConfig(**kwargs)
+        return CampaignConfig(**{**kwargs, **overrides})
+    except ValueError as exc:
+        error = exc
+    try:  # blame the file only for an error its own values make
+        CampaignConfig(**kwargs)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    raise error
 
 
 def _family_polynomial(config: CampaignConfig, degree: int) -> NewmanPolynomial:

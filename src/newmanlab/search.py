@@ -7,11 +7,19 @@ polynomial and its reversal share every metric used here.  Beyond the
 exhaustive cap a seeded annealing walk over interior bit flips and swaps
 takes over.
 
-Both modes score a candidate in one place, `_Incumbent.score`: the search
-builds the 0/1 array itself, so it is wrapped without re-validation and
-scored by one exact `Fraction`; a `RatioReport` is built only for a new
-incumbent.  The density floor becomes an integer term count, computed once
-per degree.
+Both modes square exactly, with integer sums and no FFT, so nothing is
+left to certify.  The exhaustive mode takes interior patterns a block at a time as
+the columns of a 0/1 matrix, drops reversal duplicates and too-sparse
+candidates by boolean masks, and squares the block with one shifted add of
+the matrix per coefficient.  Local search squares each restart's start once
+by a direct convolution and then updates that square in O(N) per move:
+flipping coefficient i of p gives (p +- x**i)**2 = p**2 +- 2 x**i p +
+x**(2i), and a swap is two flips.
+
+Both modes score a candidate in one place, `_Incumbent.score`, from its
+square height and term count by exact integer comparison; a polynomial and
+its `RatioReport` are built only for a new incumbent.  The density floor
+becomes an integer term count, computed once per degree.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import NewmanPolynomial, RatioReport, format_polynomial, metrics, square
+from .poly import NewmanPolynomial, RatioReport, SquareCoefficients, format_polynomial, metrics
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -141,41 +149,38 @@ def _objective_value(report: RatioReport, objective: str) -> Fraction:
     return report.product if objective == "min_product" else report.ratio
 
 
-def _reverse_bits(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
 class _Incumbent:
     """Best candidate so far at one degree: the one place that scores candidates."""
 
     def __init__(self, degree: int, spec: SearchSpec):
+        self.degree = degree
         # l1 >= floor * degree, as an integer: l1 >= min_l1.
         self.min_l1 = ceil(spec.density_floor * degree)
         self._weight = degree if spec.objective == "min_product" else 1
-        self.value: Optional[Fraction] = None
         self.best: Optional[DegreeBest] = None
+        self._num = self._den = 0  # the incumbent's value, num / den
 
-    def score(self, coeffs: np.ndarray, meta: SearchMetadata, step: Optional[int] = None) -> Fraction:
-        """Objective value of the canonical 0/1 array `coeffs`, adopted and frozen.
+    def score(
+        self, height: int, l1: int, coeffs: np.ndarray, sq: np.ndarray,
+        meta: SearchMetadata, step: Optional[int] = None,
+    ) -> tuple[int, int]:
+        """Exact objective value of a candidate with square height `height` and
+        `l1` terms, as a numerator and a positive denominator.
 
-        A strict improvement becomes the incumbent, with its `RatioReport`,
-        and is recorded in the trajectory at `step` when one is given.
+        A strict improvement becomes the incumbent: only then are its 0/1
+        `coeffs` and square `sq` copied into a polynomial and its
+        `RatioReport`, and the value recorded in the trajectory at `step`
+        when one is given.
         """
-        candidate = NewmanPolynomial._trusted(coeffs, np.flatnonzero(coeffs))
-        sq = square(candidate)
-        l1 = candidate.l1
-        value = Fraction(sq.height * self._weight, l1 * l1)
-        meta.candidates_examined += 1
-        if self.value is None or value < self.value:
-            self.value = value
-            self.best = DegreeBest(candidate.degree, candidate, metrics(candidate, sq))
+        num, den = height * self._weight, l1 * l1
+        if self.best is None or num * self._den < self._num * den:
+            self._num, self._den = num, den
+            candidate = NewmanPolynomial._trusted(coeffs.astype(np.uint8), np.flatnonzero(coeffs))
+            report = metrics(candidate, SquareCoefficients._trusted(sq.astype(np.int64)))
+            self.best = DegreeBest(self.degree, candidate, report)
             if step is not None:
-                meta.trajectory.append((step, value))
-        return value
+                meta.trajectory.append((step, Fraction(num, den)))
+        return num, den
 
 
 def _result(table: list[DegreeBest], spec: SearchSpec, meta: SearchMetadata) -> SearchResult:
@@ -186,12 +191,36 @@ def _result(table: list[DegreeBest], spec: SearchSpec, meta: SearchMetadata) -> 
     return SearchResult(best=best.polynomial, report=best.report, degree_table=table, metadata=meta)
 
 
+# Candidates per block of the exhaustive search: bounds its working set
+# (about 3 MiB at the degree cap), so peak memory does not grow with degree.
+_BLOCK = 1 << 13
+
+
+def _square_columns(columns: np.ndarray) -> np.ndarray:
+    """Exact squares of the 0/1 columns of `columns`, one column each.
+
+    One shifted add of the whole matrix per coefficient:
+    (p**2)[j + k] += p[j] * p[k].  A coefficient of p**2 is at most
+    l1(p) <= EXHAUSTIVE_DEGREE_CAP + 1, so uint8 sums are exact.
+    """
+    n, count = columns.shape
+    sq = np.zeros((2 * n - 1, count), dtype=np.uint8)
+    term = np.empty_like(columns)
+    for j in range(n):
+        np.multiply(columns, columns[j], out=term)
+        sq[j:j + n] += term
+    return sq
+
+
 def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> SearchResult:
     """Exact minimum of the objective over canonical candidates in the range.
 
     Candidates have constant and leading coefficient 1; with the symmetry
     reduction on, an interior pattern is skipped whenever its reversal has a
-    smaller encoding (the reversal shares all metrics).
+    smaller encoding (the reversal shares all metrics).  Interior patterns
+    are enumerated in increasing order, `_BLOCK` at a time, as the columns
+    of a 0/1 matrix that is filtered by boolean masks and squared at once;
+    of equal minima the first in that order is kept.
     """
     if spec.mode != "exhaustive":
         raise ValueError("spec.mode must be 'exhaustive'")
@@ -199,18 +228,33 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
     table: list[DegreeBest] = []
     for degree in range(spec.min_degree, spec.max_degree + 1):
         width = degree - 1
-        bits = np.arange(width)
+        shifts = np.arange(width)[:, None]
+        reversed_weights = 1 << shifts[::-1, 0]  # bit j of a pattern is bit width-1-j of its reversal
         incumbent = _Incumbent(degree, spec)
-        for interior in range(1 << width):
-            if use_reversal_symmetry and _reverse_bits(interior, width) < interior:
-                meta.reversal_skipped += 1
+        for start in range(0, 1 << width, _BLOCK):
+            interiors = np.arange(start, min(start + _BLOCK, 1 << width))
+            bits = (interiors >> shifts) & 1  # bits[j] is coefficient j + 1
+            keep = np.ones(len(interiors), dtype=bool)
+            if use_reversal_symmetry:
+                keep = reversed_weights @ bits >= interiors
+                meta.reversal_skipped += len(interiors) - int(keep.sum())
+            l1 = bits.sum(axis=0) + 2
+            dense = l1 >= incumbent.min_l1
+            meta.density_rejected += int((keep & ~dense).sum())
+            keep &= dense
+            columns = np.ones((degree + 1, int(keep.sum())), dtype=np.uint8)
+            columns[1:degree] = bits[:, keep]
+            meta.candidates_examined += columns.shape[1]
+            if columns.shape[1] == 0:
                 continue
-            if interior.bit_count() + 2 < incumbent.min_l1:
-                meta.density_rejected += 1
-                continue
-            coeffs = np.ones(degree + 1, dtype=np.uint8)
-            coeffs[1:degree] = (interior >> bits) & 1
-            incumbent.score(coeffs, meta)
+            sq = _square_columns(columns)
+            heights = sq.max(axis=0)
+            l1 = l1[keep]
+            # h / l1**2 in float64 orders exactly: with h, l1 <= 29, distinct
+            # values differ by at least 29**-4, far above the rounding, and
+            # equal values round alike.  argmin keeps the first of equal minima.
+            best = int(np.argmin(heights / (l1 * l1)))
+            incumbent.score(int(heights[best]), int(l1[best]), columns[:, best], sq[:, best], meta)
         if incumbent.best is not None:  # else the floor filtered this degree out
             table.append(incumbent.best)
     return _result(table, spec, meta)
@@ -219,17 +263,32 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
 def _random_start(
     rng: np.random.Generator, degree: int, floor: Fraction, min_l1: int, restart: int
 ) -> np.ndarray:
-    coeffs = np.ones(degree + 1, dtype=np.uint8)
+    coeffs = np.ones(degree + 1, dtype=np.int64)
     if restart == 0:
         return coeffs  # the always-feasible dense start
     density = max(float(floor), 0.5)
     coeffs[1:degree] = rng.random(degree - 1) < density
-    # Repair until feasible (floor <= 1 guarantees termination).
-    interior = list(range(1, degree))
-    while int(coeffs.sum()) < min_l1:
-        zeros = [j for j in interior if coeffs[j] == 0]
-        coeffs[zeros[rng.integers(len(zeros))]] = 1
+    # Repair until feasible (floor <= 1 guarantees enough zeros).
+    zeros = (np.flatnonzero(coeffs[1:degree] == 0) + 1).tolist()
+    for _ in range(min_l1 - int(coeffs.sum())):
+        coeffs[zeros.pop(rng.integers(len(zeros)))] = 1
     return coeffs
+
+
+def _flip(coeffs: np.ndarray, sq: np.ndarray, i: int) -> None:
+    """Flip coefficient i of the 0/1 array `coeffs` and update its square `sq` in place.
+
+    (p +- x**i)**2 = p**2 +- 2 x**i p + x**(2i), with p before the flip.
+    """
+    window = sq[i:i + len(coeffs)]
+    if coeffs[i]:
+        window -= coeffs
+        window -= coeffs
+    else:
+        window += coeffs
+        window += coeffs
+    sq[2 * i] += 1
+    coeffs[i] ^= 1
 
 
 def local_search(spec: SearchSpec) -> SearchResult:
@@ -237,6 +296,9 @@ def local_search(spec: SearchSpec) -> SearchResult:
 
     Never returns or visits a candidate violating the density floor, records
     every improvement of the incumbent, and is fully determined by the seed.
+    Each restart squares its start once; a move updates that square with
+    `_flip` in a spare buffer, and the buffers trade places when the move is
+    accepted.
     """
     if spec.mode != "local_search":
         raise ValueError("spec.mode must be 'local_search'")
@@ -250,7 +312,14 @@ def local_search(spec: SearchSpec) -> SearchResult:
         for restart in range(restarts):
             rng = np.random.default_rng([spec.seed, degree, restart])
             coeffs = _random_start(rng, degree, spec.density_floor, incumbent.min_l1, restart)
-            current_value = incumbent.score(coeffs, meta, global_iter)
+            l1 = int(coeffs.sum())
+            # numpy convolves directly (never by FFT), and every partial sum
+            # is an integer at most l1 < 2**53, which float64 holds exactly.
+            wide = coeffs.astype(np.float64)
+            sq = np.convolve(wide, wide).astype(np.int64)
+            spare = np.empty_like(sq)
+            meta.candidates_examined += 1
+            num, den = incumbent.score(int(sq.max()), l1, coeffs, sq, meta, global_iter)
             if degree <= 1:
                 continue  # no interior bits to move
             temp_hi, temp_lo = 0.05, 1e-4
@@ -258,25 +327,32 @@ def local_search(spec: SearchSpec) -> SearchResult:
                 global_iter += 1
                 frac = step / max(1, per_restart - 1)
                 temperature = temp_hi * (temp_lo / temp_hi) ** frac
-                proposal = coeffs.copy()
                 if rng.random() < 0.5:
-                    pos = int(rng.integers(1, degree))
-                    proposal[pos] ^= 1
-                else:
-                    ones = np.flatnonzero(proposal[1:degree] == 1) + 1
-                    zeros = np.flatnonzero(proposal[1:degree] == 0) + 1
-                    if len(ones) == 0 or len(zeros) == 0:
+                    moved: tuple[int, ...] = (int(rng.integers(1, degree)),)
+                    l1_after = l1 + 1 - 2 * int(coeffs[moved[0]])
+                    if l1_after < incumbent.min_l1:
+                        meta.density_rejected += 1
                         continue
-                    proposal[ones[rng.integers(len(ones))]] = 0
-                    proposal[zeros[rng.integers(len(zeros))]] = 1
-                if int(proposal.sum()) < incumbent.min_l1:
-                    meta.density_rejected += 1
-                    continue
-                value = incumbent.score(proposal, meta, global_iter)
-                delta = float(value - current_value)
+                else:
+                    if l1 == 2 or l1 == degree + 1:
+                        continue  # no interior one, or no interior zero, to swap
+                    ones = coeffs[1:degree].nonzero()[0] + 1
+                    zeros = (coeffs[1:degree] == 0).nonzero()[0] + 1
+                    moved = (int(ones[rng.integers(len(ones))]), int(zeros[rng.integers(len(zeros))]))
+                    l1_after = l1
+                np.copyto(spare, sq)
+                for i in moved:
+                    _flip(coeffs, spare, i)
+                meta.candidates_examined += 1
+                new_num, new_den = incumbent.score(int(spare.max()), l1_after, coeffs, spare, meta, global_iter)
+                # int / int rounds correctly, so this is float(value - current value).
+                delta = (new_num * den - num * new_den) / (new_den * den)
                 if delta <= 0 or rng.random() < exp(-delta / temperature):
-                    coeffs = proposal
-                    current_value = value
+                    sq, spare = spare, sq
+                    l1, num, den = l1_after, new_num, new_den
+                else:
+                    for i in moved:
+                        coeffs[i] ^= 1  # undo the move
         table.append(incumbent.best)  # the dense start is always feasible
     return _result(table, spec, meta)
 

@@ -226,7 +226,17 @@ class TestSearch:
           "--floor", "1/2", "--budget", "2000", "--seed", "7"],
          "d1d48c82296c14a370f0bfc1b1cf78bc79d6cdb0b5c9e9cc6b57e8ed9ca16103",
          "b3afb13786b70da5f5db88d22cb296aa07030b082f3831f21676706d006f4c2c"),
-    ], ids=["exhaustive-1-12", "exhaustive-min-ratio-floor-half", "local-256"])
+        # The local pass of the benchmark's `search` workload, and a deeper
+        # exhaustive pass than its own under a high floor.
+        (["--min-degree", "1024", "--max-degree", "1024", "--mode", "local_search",
+          "--floor", "1/2", "--budget", "300", "--seed", "3"],
+         "b0b70229c5b502fbaa4708af8db12e9a98ab95d4e4841ba0cbc9a952bf5f4218",
+         "4b8a0de5f11af9342ce912276526e00663b7527de809010adf0bd4e052a1006b"),
+        (["--min-degree", "1", "--max-degree", "14", "--objective", "min_ratio", "--floor", "4/5"],
+         "59c6d53d99573b17b2ecee0d67176a7cc0aebddfc4c31e5b4f9f7d35d6b57b41",
+         "99ed0ae26ae7700fa7ba576ca8c7748cc14c59561fa063d7e6be243d9ac1aaf7"),
+    ], ids=["exhaustive-1-12", "exhaustive-min-ratio-floor-half", "local-256",
+            "local-1024", "exhaustive-1-14-min-ratio-floor-four-fifths"])
     def test_pinned_output_bytes(self, capsys, tmp_path, argv, json_digest, csv_digest):
         code, _, _ = run(capsys, "search", *argv, "--out", str(tmp_path))
         assert code == 0
@@ -310,6 +320,24 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "--config", str(cfg))
         assert code == 1
         assert err.startswith(f"newman: error: {cfg}: bad rho = '1/0'")
+
+    def test_bad_override_names_no_file(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("family = all_ones\ndegree_ladder = 16\ntrials_per_degree = 4\n"
+                       "epsilon = 0.3\n")
+        code, _, err = run(capsys, "experiment", "--config", str(cfg), "--seed", "-1",
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == "newman: error: seed must be a 64-bit unsigned integer\n"
+
+    def test_bad_file_value_names_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("family = all_ones\ndegree_ladder = 16\ntrials_per_degree = 4\n"
+                       "epsilon = 0.3\nseed = -1\n")
+        code, _, err = run(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"newman: error: {cfg}: seed must be a 64-bit unsigned integer\n"
 
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "--config",

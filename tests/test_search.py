@@ -2,24 +2,32 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from newmanlab.poly import NewmanPolynomial, format_polynomial, metrics, square_oracle
 from newmanlab.search import (
     SearchSpec,
+    _flip,
+    _square_columns,
     exhaustive_search,
     local_search,
     verify_hypothesis,
 )
 
 
+def canonical_candidates(degree: int) -> list[list[int]]:
+    """Coefficients of every canonical candidate of one degree, in enumeration order."""
+    return [[1] + [(interior >> j) & 1 for j in range(degree - 1)] + [1]
+            for interior in range(1 << (degree - 1))]
+
+
 def naive_minimum(degree: int, floor: Fraction = Fraction(0)) -> Fraction:
     """Dumb enumerator over all canonical candidates of one degree."""
     best = None
-    for interior in range(1 << max(0, degree - 1)):
-        coeffs = [1] + [(interior >> j) & 1 for j in range(degree - 1)] + [1]
-        if degree == 0:
-            coeffs = [1]
+    for coeffs in canonical_candidates(degree):
         p = NewmanPolynomial(coeffs)
         if Fraction(p.l1) < floor * degree:
             continue
@@ -48,9 +56,9 @@ class TestExhaustive:
             assert by_degree[degree].report.product <= Fraction(degree, degree + 1)
 
     def test_matches_naive_enumerator(self):
-        res = exhaustive_search(SearchSpec(1, 10))
+        res = exhaustive_search(SearchSpec(1, 14))
         by_degree = {row.degree: row.report.product for row in res.degree_table}
-        for degree in range(1, 11):
+        for degree in range(1, 15):
             assert by_degree[degree] == naive_minimum(degree)
 
     def test_reversal_reduction_preserves_minima(self):
@@ -129,6 +137,34 @@ class TestExhaustive:
             best = ratio if best is None else min(best, ratio)
         assert res.report.ratio == best
         assert res.report.ratio <= Fraction(1, 7)  # all-ones witness
+
+
+class TestSquareKernels:
+    def test_square_columns_matches_oracle(self):
+        for degree in range(1, 11):
+            candidates = canonical_candidates(degree)
+            squares = _square_columns(np.array(candidates, dtype=np.uint8).T)
+            for k, coeffs in enumerate(candidates):
+                expected = square_oracle(NewmanPolynomial(coeffs)).to_list()
+                assert squares[:, k].tolist() == expected
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_flip_and_swap_update_the_square(self, data):
+        degree = data.draw(st.integers(min_value=2, max_value=200))
+        interior = data.draw(st.lists(st.integers(0, 1), min_size=degree - 1, max_size=degree - 1))
+        coeffs = np.array([1, *interior, 1], dtype=np.int64)
+        sq = square_oracle(NewmanPolynomial(coeffs)).coefficients.copy()
+        if data.draw(st.booleans()):  # a swap: one interior term out, another in
+            ones = [j for j in range(1, degree) if coeffs[j]]
+            zeros = [j for j in range(1, degree) if not coeffs[j]]
+            assume(ones and zeros)
+            moved = [data.draw(st.sampled_from(ones)), data.draw(st.sampled_from(zeros))]
+        else:
+            moved = [data.draw(st.integers(min_value=1, max_value=degree - 1))]
+        for i in moved:
+            _flip(coeffs, sq, i)
+        assert sq.tolist() == square_oracle(NewmanPolynomial(coeffs)).to_list()
 
 
 class TestLocalSearch:
