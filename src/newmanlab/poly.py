@@ -15,12 +15,22 @@ either guard trips.  Both strategies must agree
 bit-for-bit with `square_oracle`, a direct O(N**2) convolution sum kept as
 the reference.
 
+The first `square()` in a process raises glibc's mmap and trim thresholds
+(`_keep_freed_memory`).  By default glibc maps each multi-MiB buffer (numpy's
+arrays, pocketfft's per-call scratch) with `mmap` and unmaps it on free, so
+every FFT square of a thinning campaign page-faults all of its buffers in
+again; with the raised thresholds freed buffers stay in the heap and the
+next square reuses them.  Buffers above 32 MiB, glibc's 64-bit maximum
+threshold (squares above degree about 2**21), are still mapped afresh.
+No arithmetic depends on it, and it does nothing off glibc.
+
 Coefficients are checked once, by the `NewmanPolynomial` constructor;
 polynomials derived from checked ones skip it via `_trusted`.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,9 +135,6 @@ class NewmanPolynomial:
         """
         low = int(self._support[0])
         return NewmanPolynomial(self._coeffs[::-1][: self.degree - low + 1])
-
-    def is_palindromic(self) -> bool:
-        return bool((self._coeffs == self._coeffs[::-1]).all())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NewmanPolynomial):
@@ -359,6 +366,26 @@ def _uncertified(degree: int, l1: int, fft_length: int, guard: str) -> Arithmeti
     )
 
 
+@lru_cache(maxsize=None)
+def _keep_freed_memory() -> None:
+    """Keep freed buffers up to 32 MiB in this process's heap (glibc only).
+
+    Runs once per process; a C library without `mallopt`, or one that
+    rejects a value (`mallopt` returns 0), is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # glibc's malloc.h: M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1.  32 MiB
+    # is the largest mmap threshold glibc takes on 64-bit; setting it also
+    # stops glibc from moving the threshold by itself.
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 256 << 20)
+
+
 def square(p: NewmanPolynomial) -> SquareCoefficients:
     """Exact coefficients of p**2.
 
@@ -366,6 +393,7 @@ def square(p: NewmanPolynomial) -> SquareCoefficients:
     cost but the result is strategy-independent.  Raises `ArithmeticError`
     if the FFT cannot certify its rounding exact.
     """
+    _keep_freed_memory()
     degree = p.degree
     l1 = p.l1
     if l1 * l1 <= _PAIR_COST * _fft_length(2 * degree + 1):

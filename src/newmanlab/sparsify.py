@@ -149,9 +149,18 @@ class KeepMask:
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = as_zero_one(self.bits, "mask bits")
-        arr.setflags(write=False)
-        self.bits = arr
+        self._adopt(as_zero_one(self.bits, "mask bits"))
+
+    @classmethod
+    def _trusted(cls, bits: np.ndarray) -> "KeepMask":
+        """Wrap uint8 0/1 `bits` unchecked; they are frozen, not copied."""
+        mask = object.__new__(cls)
+        mask._adopt(bits)
+        return mask
+
+    def _adopt(self, bits: np.ndarray) -> None:
+        bits.setflags(write=False)
+        self.bits = bits
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -509,7 +518,7 @@ def _thin(
         q = NewmanPolynomial._trusted((p.coefficients & bits)[: int(kept[-1]) + 1], kept)
         q_square = square(q)
         report = ratio_report(q.l1, q.degree, q_square.height)
-        overs = tuple(int(k) for k in np.flatnonzero(q_square.coefficients > cutoffs.height))
+        overs = tuple(np.flatnonzero(q_square.coefficients > cutoffs.height).tolist())
     flags = BadEventFlags(
         E=kept.size < cutoffs.low_mass,
         E_k_indices=overs,
@@ -540,7 +549,7 @@ def sample(
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    mask = KeepMask((rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8))
+    mask = KeepMask._trusted((rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8))
     q_metrics, flags = _thin(p, mask.bits, cutoffs)
     return SparsifyTrial(trial_index=trial_index, trial_seed=trial_seed,
                          q_metrics=q_metrics, flags=flags, mask=mask)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import newmanlab.poly
 import newmanlab.sparsify
 from newmanlab.cli import main
 from newmanlab.experiment import SUMMARY_COLUMNS, TRIAL_COLUMNS
@@ -60,6 +61,14 @@ class TestSquare:
                            "--poly-format", "bitstring")
         assert code == 1
         assert "error" in err
+
+    def test_uncertified_fft_is_clean(self, capsys, monkeypatch):
+        monkeypatch.setattr(newmanlab.poly, "_fft_error_bound",
+                            lambda l1, fft_length: newmanlab.poly._FFT_GUARD)
+        code, out, err = run(capsys, "square", "--all-ones", "100")
+        assert code == 1 and out == ""
+        assert err.startswith("newman: error: FFT square of degree 100")
+        assert "not certified exact" in err
 
 
 class TestRatio:

@@ -1,8 +1,11 @@
 """Polynomial core: parsing, exact squaring, metrics."""
 
+import ctypes
 import math
 import pickle
+import platform
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -270,6 +273,43 @@ class TestFFTCertificate:
         # The bound leaves the guard only far beyond any array that fits in
         # memory: 2**40 terms spread over 2**41 + 1 output values.
         assert _fft_error_bound(2 ** 40, _fft_length(2 ** 41 + 1)) < _FFT_GUARD
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+class TestKeepFreedMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the mmap and trim thresholds are glibc's")
+    def test_repeated_large_squares_take_no_page_faults(self):
+        import resource
+
+        degree = 2 ** 17
+        rng = np.random.default_rng(17)
+        inputs = []
+        for _ in range(4):
+            bits = (rng.random(degree + 1) < 0.3).astype(np.uint8)
+            bits[-1] = 1
+            inputs.append(NewmanPolynomial(bits))
+        square(NewmanPolynomial.all_ones(degree))  # heap and FFT plan warm
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for p in inputs:
+            square(p)
+        # Without the thresholds each square faults in ~3k pages of buffers.
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+    @pytest.mark.parametrize("cdll", [_no_c_library, lambda name: object()],
+                             ids=["no-c-library", "no-mallopt"])
+    def test_without_mallopt_it_does_nothing(self, cdll, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert poly._keep_freed_memory.__wrapped__() is None
+        # A fresh cache, so that square() takes the fallback without
+        # recording it for the rest of this process.
+        monkeypatch.setattr(poly, "_keep_freed_memory",
+                            lru_cache(poly._keep_freed_memory.__wrapped__))
+        p = NewmanPolynomial.all_ones(300)
+        assert square(p) == square_oracle(p)
 
 
 class TestFFTLength:

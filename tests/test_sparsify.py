@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import newmanlab.sparsify
 from newmanlab.poly import NewmanPolynomial, parse_polynomial, square
 from newmanlab.sparsify import (
     BadEventFlags,
@@ -391,6 +392,16 @@ class TestSample:
         assert a.mask.same_as(b.mask)
         assert a.flags == b.flags
         assert a.q_metrics == b.q_metrics
+
+    def test_mask_is_trusted_and_frozen(self, monkeypatch):
+        # sample() draws its bits 0/1 itself, so it skips the public check.
+        p = NewmanPolynomial.all_ones(300)
+        cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=11)
+        monkeypatch.setattr(newmanlab.sparsify, "as_zero_one", None)
+        mask = sample(p, cfg, 0).mask
+        monkeypatch.undo()
+        assert mask.bits.dtype == np.uint8 and not mask.bits.flags.writeable
+        assert mask.same_as(KeepMask(mask.bits))
 
     def test_distinct_trials_differ(self):
         p = NewmanPolynomial.all_ones(300)
