@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .poly import (  # noqa: F401
     NewmanPolynomial,
     RatioReport,
-    SquareCoefficients,
     format_polynomial,
     metrics,
     parse_polynomial,

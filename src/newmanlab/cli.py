@@ -76,13 +76,13 @@ def _cmd_square(args: argparse.Namespace) -> int:
     p = _load_polynomial(args)
     sq = square(p)
     if args.format == "csv":
-        write_text(args.out, csv_text(["k", "coefficient"], enumerate(sq.to_list())))
+        write_text(args.out, csv_text(["k", "coefficient"], enumerate(sq.tolist())))
     else:
         payload = {
             "polynomial": format_polynomial(p),
             "degree": p.degree,
             "l1": p.l1,
-            "square": sq.to_list(),
+            "square": sq.tolist(),
         }
         write_text(args.out, json_text(payload))
     return 0
@@ -142,7 +142,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     p = _load_polynomial(args)
     config = SparsifyConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(SparsifyConfig)})
-    p_height = square(p).height
+    p_height = int(square(p).max())
     records = [
         record_from_trial(sample(p, config, t, p_square_height=p_height))
         for t in range(args.trials)

@@ -21,6 +21,7 @@ __all__ = [
     "tail_bound",
     "bad_event_E_bound",
     "choose_epsilon",
+    "exact_amplification",
 ]
 
 # Below this, (1+e)*log1p(e) - e loses too many digits; use the cubic series.
@@ -110,7 +111,9 @@ class EpsilonChoice:
     amplification: float  # (1 + eps) / (1 - eps)**2
 
 
-def _amplification_exact(epsilon: float) -> Fraction:
+def exact_amplification(epsilon: float) -> Fraction:
+    """(1+eps)/(1-eps)**2 as the exact rational of the float eps: the factor
+    by which thinning may amplify the ratio product."""
     fe = Fraction(epsilon)
     return (1 + fe) / (1 - fe) ** 2
 
@@ -130,7 +133,7 @@ def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | floa
     r = float(frho_prime / frho)
     eps = ((2.0 * r + 1.0) - math.sqrt(8.0 * r + 1.0)) / (2.0 * r)
     # Largest float satisfying the exact inequality.
-    while eps > 0 and _amplification_exact(eps) * frho > frho_prime:
+    while eps > 0 and exact_amplification(eps) * frho > frho_prime:
         eps = math.nextafter(eps, 0.0)
     if not 0.0 < eps < 1.0:
         raise ValueError("no valid epsilon in (0, 1)")
@@ -138,5 +141,5 @@ def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | floa
         rho=frho,
         rho_prime=frho_prime,
         epsilon=eps,
-        amplification=float(_amplification_exact(eps)),
+        amplification=float(exact_amplification(eps)),
     )

@@ -378,7 +378,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     summary = CampaignSummary(config=config, epsilon=epsilon)
     for degree in config.degree_ladder:
         p = _family_polynomial(config, degree)
-        p_height = square(p).height
+        p_height = int(square(p).max())
         alpha = alpha_of(p.degree, config.alpha_exponent)
         records = _run_degree(p, scfg, config.trials_per_degree, p_height, workers)
         summary.trials[degree] = records

@@ -13,7 +13,8 @@ the 2*degree + 1 output values; an a-priori error bound and the rounding
 residual both guard its exactness, and it raises `ArithmeticError` if
 either guard trips.  Both strategies must agree
 bit-for-bit with `square_oracle`, a direct O(N**2) convolution sum kept as
-the reference.
+the reference.  A square is the strategy's own int64 array of the
+coefficients of x**0 .. x**(2*degree), made read-only and returned as is.
 
 The first `square()` in a process raises glibc's mmap and trim thresholds
 (`_keep_freed_memory`).  By default glibc maps each multi-MiB buffer (numpy's
@@ -41,7 +42,6 @@ import numpy as np
 
 __all__ = [
     "NewmanPolynomial",
-    "SquareCoefficients",
     "RatioReport",
     "parse_polynomial",
     "format_polynomial",
@@ -154,71 +154,6 @@ class NewmanPolynomial:
         exps = self._support.tolist()
         shown = ",".join(map(str, exps[:8])) + (",..." if len(exps) > 8 else "")
         return f"NewmanPolynomial(degree={self.degree}, support=[{shown}])"
-
-
-class SquareCoefficients:
-    """Exact coefficients of p**2 for a 0/1 polynomial p, indexed 0..2*deg(p)."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients: Sequence[int] | np.ndarray):
-        arr = np.asarray(coefficients, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0 or arr.size % 2 == 0:
-            raise ValueError("square coefficients must have odd positive length")
-        if (arr < 0).any():
-            raise ValueError("square coefficients must be nonnegative")
-        self._adopt(arr)
-
-    @classmethod
-    def _trusted(cls, arr: np.ndarray) -> "SquareCoefficients":
-        """Wrap an int64 array that a squaring strategy produced, unchecked;
-        it is frozen, not copied."""
-        sq = object.__new__(cls)
-        sq._adopt(arr)
-        return sq
-
-    def _adopt(self, arr: np.ndarray) -> None:
-        arr.setflags(write=False)
-        self._coeffs = arr
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coeffs
-
-    @property
-    def height(self) -> int:
-        """Largest coefficient."""
-        return int(self._coeffs.max())
-
-    @property
-    def total(self) -> int:
-        """Sum of all coefficients (equals the squared term count)."""
-        return int(self._coeffs.sum())
-
-    def to_list(self) -> list[int]:
-        return self._coeffs.tolist()
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __getitem__(self, k: int) -> int:
-        return int(self._coeffs[k])
-
-    def __iter__(self):
-        return iter(self._coeffs.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquareCoefficients):
-            return NotImplemented
-        return self._coeffs.shape == other._coeffs.shape and bool(
-            (self._coeffs == other._coeffs).all()
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs.tobytes())
-
-    def __repr__(self) -> str:
-        return f"SquareCoefficients(len={len(self._coeffs)}, height={self.height})"
 
 
 @dataclass(frozen=True)
@@ -386,8 +321,8 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 256 << 20)
 
 
-def square(p: NewmanPolynomial) -> SquareCoefficients:
-    """Exact coefficients of p**2.
+def square(p: NewmanPolynomial) -> np.ndarray:
+    """Exact coefficients of p**2: a read-only int64 array of length 2*degree + 1.
 
     (p**2)_k = sum_j p_j * p_{k-j}; the strategy is selected by estimated
     cost but the result is strategy-independent.  Raises `ArithmeticError`
@@ -397,13 +332,16 @@ def square(p: NewmanPolynomial) -> SquareCoefficients:
     degree = p.degree
     l1 = p.l1
     if l1 * l1 <= _PAIR_COST * _fft_length(2 * degree + 1):
-        return SquareCoefficients._trusted(_square_pairs(p.support, degree))
-    return SquareCoefficients._trusted(_square_fft(p.coefficients, degree, l1))
+        sq = _square_pairs(p.support, degree)
+    else:
+        sq = _square_fft(p.coefficients, degree, l1)
+    sq.setflags(write=False)
+    return sq
 
 
-def square_oracle(p: NewmanPolynomial) -> SquareCoefficients:
+def square_oracle(p: NewmanPolynomial) -> np.ndarray:
     """Reference squaring: the direct O(N**2) convolution sum, no strategy
-    selection.
+    selection; read-only int64, like `square`.
 
     numpy's integer `convolve` sums every product p_j * p_{k-j} exactly in
     int64 (it never takes an FFT).  Kept independent of `square` so the two
@@ -412,7 +350,9 @@ def square_oracle(p: NewmanPolynomial) -> SquareCoefficients:
     if p.degree > ORACLE_DEGREE_CAP:
         raise ValueError(f"oracle capped at degree {ORACLE_DEGREE_CAP}, got {p.degree}")
     c = p.coefficients.astype(np.int64)
-    return SquareCoefficients(np.convolve(c, c))
+    sq = np.convolve(c, c)
+    sq.setflags(write=False)
+    return sq
 
 
 def ratio_report(l1: int, degree: int, height: int) -> RatioReport:
@@ -428,7 +368,8 @@ def ratio_report(l1: int, degree: int, height: int) -> RatioReport:
     )
 
 
-def metrics(p: NewmanPolynomial, square_coeffs: SquareCoefficients | None = None) -> RatioReport:
-    """Exact RatioReport for p; pass a precomputed square to avoid recomputing it."""
+def metrics(p: NewmanPolynomial, square_coeffs: np.ndarray | None = None) -> RatioReport:
+    """Exact RatioReport for p; pass a precomputed square (any integer array
+    of its coefficients) to avoid recomputing it."""
     sq = square(p) if square_coeffs is None else square_coeffs
-    return ratio_report(p.l1, p.degree, sq.height)
+    return ratio_report(p.l1, p.degree, int(sq.max()))

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import NewmanPolynomial, RatioReport, SquareCoefficients, format_polynomial, metrics
+from .poly import NewmanPolynomial, RatioReport, format_polynomial, metrics
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -168,15 +168,16 @@ class _Incumbent:
         `l1` terms, as a numerator and a positive denominator.
 
         A strict improvement becomes the incumbent: only then are its 0/1
-        `coeffs` and square `sq` copied into a polynomial and its
-        `RatioReport`, and the value recorded in the trajectory at `step`
-        when one is given.
+        `coeffs` copied into a polynomial and its `RatioReport` read from
+        the square `sq` as given (a uint8 column of the exhaustive block or
+        local search's int64 buffer, never copied), and the value recorded
+        in the trajectory at `step` when one is given.
         """
         num, den = height * self._weight, l1 * l1
         if self.best is None or num * self._den < self._num * den:
             self._num, self._den = num, den
             candidate = NewmanPolynomial._trusted(coeffs.astype(np.uint8), np.flatnonzero(coeffs))
-            report = metrics(candidate, SquareCoefficients._trusted(sq.astype(np.int64)))
+            report = metrics(candidate, sq)
             self.best = DegreeBest(self.degree, candidate, report)
             if step is not None:
                 meta.trajectory.append((step, Fraction(num, den)))

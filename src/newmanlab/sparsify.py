@@ -19,15 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .concentration import choose_epsilon
+from .concentration import choose_epsilon, exact_amplification
 from .poly import (
     NewmanPolynomial,
     RatioReport,
-    SquareCoefficients,
     as_zero_one,
     metrics,
     ratio_report,
@@ -137,8 +136,7 @@ class SparsifyConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         object.__setattr__(self, "epsilon", epsilon)
         if self.rho is not None and self.rho_prime is not None:
-            fe = Fraction(epsilon)
-            if (1 + fe) / (1 - fe) ** 2 * self.rho > self.rho_prime:
+            if exact_amplification(epsilon) * self.rho > self.rho_prime:
                 raise ValueError("epsilon amplifies rho beyond rho_prime")
 
 
@@ -177,14 +175,11 @@ class BadEventFlags:
     `E_k_indices`: every k whose squared coefficient overshot the height
     budget (1+eps)*alpha**2*height(p**2); `E_k_any` is its nonemptiness.
     `D`: degree of q collapsed to at most (c0/2)*N.
-    `l1_deviation`: two-sided diagnostic |mass - alpha*l1(p)| > eps*alpha*l1(p);
-    reported separately because `E` itself is one-sided.
     """
 
     E: bool
     E_k_indices: tuple[int, ...]
     D: bool
-    l1_deviation: bool
 
     @property
     def E_k_any(self) -> bool:
@@ -227,10 +222,10 @@ class SparsifyTrial(TrialRecord):
 class CoefficientSplit:
     """One squared coefficient split into independent-sum parts.
 
-    Odd k: `first` covers j = 0..floor(k/2), `second` the mirrored upper
-    range, `diagonal` is 0.  Even k: the two halves exclude j = k/2, whose
-    kept term is `diagonal`.  `theta` is the expectation correction
-    alpha*(1-alpha)*p_{k/2}**2 when alpha is known (0 otherwise).
+    Odd k: `first` covers j = max(0, k-N)..floor(k/2), `second` the
+    mirrored upper range, `diagonal` is 0.  Even k: the two halves exclude
+    j = k/2, whose kept term is `diagonal`.  `theta` is the expectation
+    correction alpha*(1-alpha)*p_{k/2}**2 when alpha is known (0 otherwise).
     """
 
     k: int
@@ -250,7 +245,9 @@ class CaseLabel:
     """Which halves of a squared coefficient have small expectation.
 
     Label `a`: both half-sum means are at most the threshold N**alpha_exponent
-    (equal to 1/alpha); `b`: exactly one; `c`: neither.
+    (equal to 1/alpha); `c`: neither.  The halves mirror each other under
+    j <-> k-j, so their means are always equal and no coefficient has
+    exactly one small half.
     """
 
     k: int
@@ -295,7 +292,7 @@ def expected_square_coeff(
     p: NewmanPolynomial,
     alpha: Probability,
     k: int,
-    square_coeffs: Optional[SquareCoefficients] = None,
+    square_coeffs: Optional[np.ndarray] = None,
 ) -> tuple[Probability, Probability]:
     """Mean of the k-th squared coefficient of the thinned polynomial.
 
@@ -306,7 +303,7 @@ def expected_square_coeff(
     if not 0 <= k <= 2 * p.degree:
         raise ValueError(f"k must lie in 0..{2 * p.degree}")
     sq = square(p) if square_coeffs is None else square_coeffs
-    base = alpha * alpha * sq[k]
+    base = alpha * alpha * int(sq[k])
     if k % 2 == 1:
         return base, alpha * 0
     theta = alpha * (1 - alpha) * int(p.coefficients[k // 2]) ** 2
@@ -368,15 +365,15 @@ def expected_l1_oracle(p: NewmanPolynomial, alpha: Fraction) -> Fraction:
     return sum((pw[w] * count for w, count in enumerate(L) if count), Fraction(0))
 
 
-def _half_sums(k: int, N: int, term: Callable[[int], int]) -> tuple[int, int]:
-    """Sums of term(j) over the two halves of the j-range of coefficient k.
+def _half_ranges(k: int, N: int) -> tuple[range, range]:
+    """The two halves of the j-range of coefficient k.
 
     j runs over the indices where both j and k-j lie in 0..N.  Odd k splits
     it after floor(k/2); even k leaves the diagonal j = k/2 out of both.
+    j <-> k-j maps each half onto the other.
     """
     half = k // 2
-    return (sum(term(j) for j in range(max(0, k - N), half + k % 2)),
-            sum(term(j) for j in range(half + 1, min(k, N) + 1)))
+    return range(max(0, k - N), half + k % 2), range(half + 1, min(k, N) + 1)
 
 
 def split_coefficient(
@@ -393,7 +390,9 @@ def split_coefficient(
         raise ValueError("mask length must equal degree + 1")
     c = p.coefficients.tolist()
     kept = (p.coefficients & mask.bits).tolist()
-    first, second = _half_sums(k, N, lambda j: kept[j] * kept[k - j])
+    lower, upper = _half_ranges(k, N)
+    first = sum(kept[j] * kept[k - j] for j in lower)
+    second = sum(kept[j] * kept[k - j] for j in upper)
     if k % 2 == 1:
         return CoefficientSplit(k=k, parity="odd", first=first, second=second,
                                 diagonal=0, theta=Fraction(0))
@@ -409,25 +408,18 @@ def classify_case(p: NewmanPolynomial, alpha: Probability, k: int) -> CaseLabel:
 
     The half-sum means are alpha**2 times the unit-product counts of each
     half-range; the even diagonal term belongs to neither half.  The
-    grouping threshold is 1/alpha, i.e. N**alpha_exponent.
+    grouping threshold is 1/alpha, i.e. N**alpha_exponent.  The product
+    c_j * c_{k-j} is symmetric and the halves mirror each other, so one
+    count serves both.
     """
     N = p.degree
     if not 0 <= k <= 2 * N:
         raise ValueError(f"k must lie in 0..{2 * N}")
     c = p.coefficients.tolist()
-    count_first, count_second = _half_sums(k, N, lambda j: c[j] * c[k - j])
-    mean_first = alpha * alpha * count_first
-    mean_second = alpha * alpha * count_second
+    mean = alpha * alpha * sum(c[j] * c[k - j] for j in _half_ranges(k, N)[0])
     threshold = Fraction(1) / alpha if isinstance(alpha, Fraction) else 1.0 / alpha
-    small_first = mean_first <= threshold
-    small_second = mean_second <= threshold
-    if small_first and small_second:
-        label = "a"
-    elif small_first or small_second:
-        label = "b"
-    else:
-        label = "c"
-    return CaseLabel(k=k, label=label, means=(mean_first, mean_second), threshold=threshold)
+    label = "a" if mean <= threshold else "c"
+    return CaseLabel(k=k, label=label, means=(mean, mean), threshold=threshold)
 
 
 def case_a_exclusion_threshold(
@@ -483,8 +475,6 @@ class _Cutoffs(NamedTuple):
     low_mass: Fraction       # E: kept mass below this
     height: int              # E_k: squared coefficient above this
     degree: Fraction         # D: degree of q at most this
-    expected_mass: Fraction  # alpha * l1(p)
-    allowance: Fraction      # l1_deviation: |mass - expected_mass| above this
 
 
 @lru_cache(maxsize=64)
@@ -493,14 +483,11 @@ def _cutoffs(degree: int, l1: int, p_square_height: int, config: SparsifyConfig)
     alpha = alpha_of(degree, config.alpha_exponent)
     fa = Fraction(alpha)
     fe = Fraction(config.epsilon)
-    expected_mass = fa * l1
     return _Cutoffs(
         alpha=alpha,
-        low_mass=(1 - fe) * expected_mass,
+        low_mass=(1 - fe) * fa * l1,
         height=math.floor((1 + fe) * fa * fa * p_square_height),
         degree=Fraction(config.c0, 2) * degree,
-        expected_mass=expected_mass,
-        allowance=fe * expected_mass,
     )
 
 
@@ -517,13 +504,12 @@ def _thin(
     if kept.size:
         q = NewmanPolynomial._trusted((p.coefficients & bits)[: int(kept[-1]) + 1], kept)
         q_square = square(q)
-        report = ratio_report(q.l1, q.degree, q_square.height)
-        overs = tuple(np.flatnonzero(q_square.coefficients > cutoffs.height).tolist())
+        report = ratio_report(q.l1, q.degree, int(q_square.max()))
+        overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
     flags = BadEventFlags(
         E=kept.size < cutoffs.low_mass,
         E_k_indices=overs,
         D=report is None or report.degree <= cutoffs.degree,
-        l1_deviation=abs(kept.size - cutoffs.expected_mass) > cutoffs.allowance,
     )
     return report, flags
 
@@ -544,7 +530,7 @@ def sample(
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
     if p_square_height is None:
-        p_square_height = square(p).height
+        p_square_height = int(square(p).max())
     cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
@@ -563,7 +549,7 @@ def detect_bad_events(
     """Compute the flags of thinning p by mask (exact, side-effect free)."""
     if len(mask) != p.degree + 1:
         raise ValueError("mask length does not match polynomial degree")
-    cutoffs = _cutoffs(p.degree, p.l1, square(p).height, config)
+    cutoffs = _cutoffs(p.degree, p.l1, int(square(p).max()), config)
     return _thin(p, mask.bits, cutoffs)[1]
 
 
@@ -584,7 +570,7 @@ def theorem_conclusion_check(
         raise ValueError("trial has bad events; the conclusion check does not apply")
     p_metrics = metrics(p)
     fe = Fraction(config.epsilon)
-    amplification = (1 + fe) / (1 - fe) ** 2
+    amplification = exact_amplification(config.epsilon)
     amplified = amplification * p_metrics.product
     q_report = trial.q_metrics
     assert q_report is not None

@@ -93,7 +93,7 @@ def test_criterion_02_convolution_oracle_equivalence():
     for degree in range(0, 13):
         for p in every_polynomial(degree):
             checked += 1
-            if square(p) != square_oracle(p):
+            if not np.array_equal(square(p), square_oracle(p)):
                 mismatches += 1
     rng = np.random.default_rng(MASTER_SEED)
     for _ in range(1000):
@@ -101,7 +101,7 @@ def test_criterion_02_convolution_oracle_equivalence():
         bits[-1] = 1
         p = NewmanPolynomial(bits)
         checked += 1
-        if square(p) != square_oracle(p):
+        if not np.array_equal(square(p), square_oracle(p)):
             mismatches += 1
     report(2, mismatches == 0,
            f"square == square_oracle on {checked} polynomials "

@@ -44,6 +44,17 @@ class TestSquare:
         code, out, _ = run(capsys, "square", "--all-ones", "2")
         assert json.loads(out)["square"] == [1, 2, 3, 2, 1]
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "003a9ee706d93a0ff7adabb9b8467eddcb7c890a449e9decb54d18eca2b9f1f2"),
+        ("csv", "677b6cb467524de3bc9b3df50a987a1b8e43ae50f71caa688bb4bfbe6e746e4f"),
+    ])
+    def test_pinned_fft_square_bytes(self, capsys, fmt, digest):
+        # 1 + x + ... + x**300 is squared by the FFT (l1**2 = 90601 terms of
+        # pair work against 625 FFT points).
+        code, out, _ = run(capsys, "square", "--all-ones", "300", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_file_output(self, capsys, tmp_path):
         target = tmp_path / "sq.json"
         code, out, _ = run(capsys, "square", "--poly", "0,1", "--out", str(target))

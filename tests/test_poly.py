@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from newmanlab.poly import (
     NewmanPolynomial,
-    SquareCoefficients,
     format_polynomial,
     metrics,
     parse_polynomial,
@@ -140,19 +139,19 @@ class TestParseFormat:
 
 class TestSquare:
     def test_binomial(self):
-        assert square(parse_polynomial("11", "bitstring")).to_list() == [1, 2, 1]
+        assert square(parse_polynomial("11", "bitstring")).tolist() == [1, 2, 1]
 
     def test_two_terms(self):
-        assert square(parse_polynomial("0,3")).to_list() == [1, 0, 0, 2, 0, 0, 1]
+        assert square(parse_polynomial("0,3")).tolist() == [1, 0, 0, 2, 0, 0, 1]
 
     def test_three_terms_matches_oracle(self):
         p = parse_polynomial("111", "bitstring")
         expected = square_oracle(p)
-        assert expected.to_list() == [1, 2, 3, 2, 1]
-        assert square(p) == expected
+        assert expected.tolist() == [1, 2, 3, 2, 1]
+        assert np.array_equal(square(p), expected)
 
     def test_identity(self):
-        assert square_oracle(NewmanPolynomial([1])).to_list() == [1]
+        assert square_oracle(NewmanPolynomial([1])).tolist() == [1]
 
     def test_oracle_cap(self):
         p = NewmanPolynomial.from_support([0, 10_001])
@@ -165,7 +164,7 @@ class TestSquare:
             bits = (rng.random(51) < 0.5).astype(int)
             bits[-1] = 1
             p = NewmanPolynomial(bits)
-            assert square(p) == square_oracle(p)
+            assert np.array_equal(square(p), square_oracle(p))
 
     def test_exhaustive_small_degrees(self):
         # Every polynomial of degree <= 9 (leading coefficient fixed to 1).
@@ -173,17 +172,17 @@ class TestSquare:
             for bits in range(1 << degree):
                 coeffs = [(bits >> j) & 1 for j in range(degree)] + [1]
                 p = NewmanPolynomial(coeffs)
-                assert square(p) == square_oracle(p)
+                assert np.array_equal(square(p), square_oracle(p))
 
     @given(supports)
     @settings(max_examples=60)
     def test_mass_identity(self, sup):
         p = poly_from(sup)
         sq = square(p)
-        assert sq.total == p.l1 ** 2
-        assert sq.height <= p.degree + 1
+        assert sq.sum() == p.l1 ** 2
+        assert sq.max() <= p.degree + 1
         # height * (2N+1) >= l1^2, exactly
-        assert sq.height * (2 * p.degree + 1) >= p.l1 ** 2
+        assert sq.max() * (2 * p.degree + 1) >= p.l1 ** 2
 
     @given(supports)
     @settings(max_examples=40)
@@ -193,17 +192,17 @@ class TestSquare:
         assert rev.l1 == p.l1
         # The reversed square is the square read backwards, minus the
         # low-order zero run that reversal drops.
-        mirrored = square(p).to_list()[::-1]
-        assert square(rev).to_list() == mirrored[: 2 * rev.degree + 1]
+        mirrored = square(p).tolist()[::-1]
+        assert square(rev).tolist() == mirrored[: 2 * rev.degree + 1]
         assert all(v == 0 for v in mirrored[2 * rev.degree + 1:])
-        assert square(rev).height == square(p).height
+        assert square(rev).max() == square(p).max()
 
     @given(supports)
     @settings(max_examples=40)
     def test_palindrome_square_is_palindromic(self, sup):
         p = poly_from(sup)
         sym = NewmanPolynomial(np.maximum(p.coefficients, p.coefficients[::-1]))
-        sq = square(sym).to_list()
+        sq = square(sym).tolist()
         assert sq == sq[::-1]
 
     def test_all_strategies_agree(self):
@@ -212,10 +211,10 @@ class TestSquare:
             bits = (rng.random(degree + 1) < density).astype(np.uint8)
             bits[-1] = 1
             p = NewmanPolynomial(bits)
-            reference = square_oracle(p).coefficients
+            reference = square_oracle(p)
             assert (_square_pairs(p.support, p.degree) == reference).all()
             assert (_square_fft(p.coefficients, p.degree, p.l1) == reference).all()
-            assert (square(p).coefficients == reference).all()
+            assert (square(p) == reference).all()
 
     @pytest.mark.parametrize("degree", [64, 1024, 4096])
     def test_oracle_agrees_around_the_strategy_crossover(self, degree, monkeypatch):
@@ -233,7 +232,7 @@ class TestSquare:
             inner = rng.choice(np.arange(1, degree), size=l1 - 2, replace=False)
             p = NewmanPolynomial.from_support([0, degree, *inner.tolist()])
             assert p.l1 == l1
-            assert square(p) == square_oracle(p)
+            assert np.array_equal(square(p), square_oracle(p))
             assert len(fft_calls) == (l1 > crossover)
 
     def test_sparse_high_degree_input_stays_on_pairs(self, monkeypatch):
@@ -242,9 +241,27 @@ class TestSquare:
 
         monkeypatch.setattr(poly, "_square_fft", no_fft)
         sq = square(NewmanPolynomial.from_support([0, 7, 3_000_000]))
-        nonzero = np.flatnonzero(sq.coefficients)
+        nonzero = np.flatnonzero(sq)
         assert nonzero.tolist() == [0, 7, 14, 3_000_000, 3_000_007, 6_000_000]
-        assert sq.coefficients[nonzero].tolist() == [1, 2, 1, 2, 2, 1]
+        assert sq[nonzero].tolist() == [1, 2, 1, 2, 2, 1]
+
+    @pytest.mark.parametrize("squaring, p, barred", [
+        ("pairs", NewmanPolynomial.from_support([0, 3, 4]), ["_square_fft"]),
+        ("fft", NewmanPolynomial.all_ones(300), ["_square_pairs"]),
+        ("oracle", NewmanPolynomial.all_ones(300), ["_square_pairs", "_square_fft"]),
+    ], ids=["pairs", "fft", "oracle"])
+    def test_square_is_a_read_only_int64_array(self, squaring, p, barred, monkeypatch):
+        def barred_strategy(*args):
+            raise AssertionError("a barred squaring strategy ran")
+
+        for name in barred:
+            monkeypatch.setattr(poly, name, barred_strategy)
+        sq = square_oracle(p) if squaring == "oracle" else square(p)
+        assert isinstance(sq, np.ndarray) and sq.dtype == np.int64
+        assert sq.shape == (2 * p.degree + 1,)
+        assert not sq.flags.writeable
+        with pytest.raises(ValueError):
+            sq[0] = 0
 
 
 class TestFFTCertificate:
@@ -309,7 +326,7 @@ class TestKeepFreedMemory:
         monkeypatch.setattr(poly, "_keep_freed_memory",
                             lru_cache(poly._keep_freed_memory.__wrapped__))
         p = NewmanPolynomial.all_ones(300)
-        assert square(p) == square_oracle(p)
+        assert np.array_equal(square(p), square_oracle(p))
 
 
 class TestFFTLength:
@@ -372,17 +389,3 @@ class TestMetrics:
             "product_num": 1, "product_den": 2,
             "trivial_bound_num": 1, "trivial_bound_den": 3,
         }
-
-
-class TestSquareCoefficients:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SquareCoefficients([1, 2])  # even length
-        with pytest.raises(ValueError):
-            SquareCoefficients([1, -1, 1])
-
-    def test_accessors(self):
-        sq = SquareCoefficients([1, 2, 3, 2, 1])
-        assert len(sq) == 5 and sq[2] == 3
-        assert sq.height == 3 and sq.total == 9
-        assert list(sq) == [1, 2, 3, 2, 1]

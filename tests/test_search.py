@@ -145,7 +145,7 @@ class TestSquareKernels:
             candidates = canonical_candidates(degree)
             squares = _square_columns(np.array(candidates, dtype=np.uint8).T)
             for k, coeffs in enumerate(candidates):
-                expected = square_oracle(NewmanPolynomial(coeffs)).to_list()
+                expected = square_oracle(NewmanPolynomial(coeffs)).tolist()
                 assert squares[:, k].tolist() == expected
 
     @given(st.data())
@@ -154,7 +154,7 @@ class TestSquareKernels:
         degree = data.draw(st.integers(min_value=2, max_value=200))
         interior = data.draw(st.lists(st.integers(0, 1), min_size=degree - 1, max_size=degree - 1))
         coeffs = np.array([1, *interior, 1], dtype=np.int64)
-        sq = square_oracle(NewmanPolynomial(coeffs)).coefficients.copy()
+        sq = square_oracle(NewmanPolynomial(coeffs)).copy()
         if data.draw(st.booleans()):  # a swap: one interior term out, another in
             ones = [j for j in range(1, degree) if coeffs[j]]
             zeros = [j for j in range(1, degree) if not coeffs[j]]
@@ -164,7 +164,7 @@ class TestSquareKernels:
             moved = [data.draw(st.integers(min_value=1, max_value=degree - 1))]
         for i in moved:
             _flip(coeffs, sq, i)
-        assert sq.tolist() == square_oracle(NewmanPolynomial(coeffs)).to_list()
+        assert sq.tolist() == square_oracle(NewmanPolynomial(coeffs)).tolist()
 
 
 class TestLocalSearch:

@@ -309,6 +309,19 @@ class TestClassify:
             assert label.means[0] == label.means[1]
             assert label.label in ("a", "c")
 
+    @given(st.sets(st.integers(min_value=0, max_value=40), min_size=1))
+    @settings(max_examples=50)
+    def test_means_match_both_split_halves(self, sup):
+        # classify_case counts one half; split_coefficient sums each half on
+        # its own, so with every term kept both halves must match that count.
+        p = NewmanPolynomial.from_support(sup)
+        alpha = alpha_of(max(p.degree, 2), Fraction(1, 10))
+        mask = KeepMask(np.ones(p.degree + 1, dtype=np.uint8))
+        for k in range(2 * p.degree + 1):
+            s = split_coefficient(p, mask, k)
+            assert classify_case(p, alpha, k).means == (alpha * alpha * s.first,
+                                                        alpha * alpha * s.second)
+
 
 class TestExclusionThreshold:
     def test_reference_point(self):
@@ -364,7 +377,6 @@ class TestBadEvents:
         flags = detect_bad_events(p, KeepMask(np.zeros(101, dtype=np.uint8)), cfg)
         assert flags.E and flags.D
         assert not flags.E_k_any
-        assert flags.l1_deviation
 
     def test_sample_flags_match_detect(self):
         p = NewmanPolynomial.all_ones(256)
@@ -485,7 +497,7 @@ class TestConclusion:
     def _clean_trial(self):
         p = NewmanPolynomial.all_ones(1024)
         cfg = SparsifyConfig(epsilon=0.5, seed=77)
-        p_height = square(p).height
+        p_height = int(square(p).max())
         for t in range(50):
             trial = sample(p, cfg, t, p_square_height=p_height)
             if not trial.is_empty and trial.flags.clean:
@@ -521,7 +533,7 @@ class TestConclusion:
             trial_index=0,
             trial_seed=0,
             q_metrics=None,
-            flags=BadEventFlags(E=True, E_k_indices=(), D=True, l1_deviation=True),
+            flags=BadEventFlags(E=True, E_k_indices=(), D=True),
             mask=KeepMask(np.zeros(51, dtype=np.uint8)),
         )
         with pytest.raises(ValueError):
