@@ -1,11 +1,13 @@
 """Reproducible experiment campaigns over a ladder of degrees.
 
-A campaign builds one dense polynomial per ladder degree, runs a fixed
-number of seeded thinning trials against it, tallies bad-event frequencies
-next to the predicted tail bounds, and writes flat deterministic artifacts:
-a summary table, per-degree trial tables, and a manifest recording the RNG
-algorithm, master seed and config digest.  Identical configs produce
-byte-identical files, whatever the worker count.
+A campaign builds one dense polynomial per ladder degree and runs a fixed
+number of seeded thinning trials against it.  Each rung keeps its trial
+records and the predicted tail bound of event E; every summary column
+(bad-event frequencies, surviving counts, exact l1/degree/product
+aggregates) is derived from those records when it is rendered.  The flat
+deterministic artifacts are a summary table, per-degree trial tables, and a
+manifest recording the RNG algorithm, master seed and config digest.
+Identical configs produce byte-identical files, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
@@ -22,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .concentration import bad_event_E_bound
+from .concentration import TailBound, bad_event_E_bound
 from .poly import NewmanPolynomial, parse_polynomial, square
 from .sparsify import (
     RNG_ALGORITHM,
@@ -64,8 +67,28 @@ SUMMARY_COLUMNS = [
 # Exact product means are emitted as round(mean * 10**12) / 10**12.
 MEAN_PROXY_DEN = 10 ** 12
 
-_FAMILIES = ("all_ones", "from_file")
 _FORMATS = ("csv", "json")
+
+
+def _polynomial_from_file(config: CampaignConfig, degree: int) -> NewmanPolynomial:
+    """The first polynomial of the given degree in the family file."""
+    assert config.family_file is not None
+    with open(config.family_file, "r", encoding="utf-8") as handle:
+        for raw in handle:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            p = parse_polynomial(line, "exponent_list")
+            if p.degree == degree:
+                return p
+    raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")
+
+
+# Family name -> the builder of its polynomial of a given degree.
+_FAMILIES = {
+    "all_ones": lambda config, degree: NewmanPolynomial.all_ones(degree),
+    "from_file": _polynomial_from_file,
+}
 
 
 @dataclass(frozen=True)
@@ -94,7 +117,7 @@ class CampaignConfig:
                 object.__setattr__(self, f.name, getattr(scfg, f.name))
         object.__setattr__(self, "_sparsify_config", scfg)
         if self.family not in _FAMILIES:
-            raise ValueError(f"family must be one of {_FAMILIES}")
+            raise ValueError(f"family must be one of {tuple(_FAMILIES)}")
         if self.format not in _FORMATS:
             raise ValueError(f"format must be one of {_FORMATS}")
         if any(b <= a for a, b in zip(self.degree_ladder, self.degree_ladder[1:])):
@@ -134,55 +157,56 @@ def _canonical(value):
 
 @dataclass(frozen=True)
 class DegreeSummary:
+    """One rung of a campaign: its parameters and its trial records in trial order.
+
+    Every summary column is derived from `records` when it is read.
+    """
+
     degree: int
     alpha: float
     epsilon: float
-    trials: int
-    count_E: int
-    count_Ek: int
-    count_D: int
-    count_clean: int
-    count_successful: int
-    l1_min: Optional[int]
-    l1_max: Optional[int]
-    l1_mean: Optional[Fraction]
-    deg_min: Optional[int]
-    deg_max: Optional[int]
-    deg_mean: Optional[Fraction]
-    product_min: Optional[Fraction]
-    product_max: Optional[Fraction]
-    product_mean: Optional[Fraction]
-    bound_E_raw: float
-    bound_E_clamped: float
+    bound_E: TailBound
+    records: tuple[TrialRecord, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.records)
 
     @property
     def freq_E(self) -> float:
-        return self.count_E / self.trials
+        return sum(r.flags.E for r in self.records) / self.trials
 
     @property
     def freq_Ek(self) -> float:
-        return self.count_Ek / self.trials
+        return sum(r.flags.E_k_any for r in self.records) / self.trials
 
     @property
     def freq_D(self) -> float:
-        return self.count_D / self.trials
+        return sum(r.flags.D for r in self.records) / self.trials
 
     @property
     def freq_clean(self) -> float:
-        return self.count_clean / self.trials
-
-    def mean_product_proxy(self) -> Optional[int]:
-        if self.product_mean is None:
-            return None
-        return round(self.product_mean * MEAN_PROXY_DEN)
+        return sum(r.flags.clean for r in self.records) / self.trials
 
     def to_json_dict(self) -> dict:
-        def frac12(v: Optional[Fraction]) -> Optional[str]:
-            if v is None:
-                return None
-            return f"{float(v):.12f}"
+        """The summary row; l1, degree and product aggregate the surviving q exactly."""
+        reports = [r.q_metrics for r in self.records if r.q_metrics is not None]
 
-        proxy = self.mean_product_proxy()
+        def stats(values):
+            if not values:
+                return None, None, None
+            return min(values), max(values), sum(values, Fraction(0)) / len(values)
+
+        def frac12(v: Optional[Fraction]) -> Optional[str]:
+            return None if v is None else f"{float(v):.12f}"
+
+        def pair(v: Optional[Fraction]) -> Optional[list[int]]:
+            return None if v is None else [v.numerator, v.denominator]
+
+        l1_min, l1_max, l1_mean = stats([q.l1 for q in reports])
+        deg_min, deg_max, deg_mean = stats([q.degree for q in reports])
+        product_min, product_max, product_mean = stats([q.product for q in reports])
+        proxy = None if product_mean is None else round(product_mean * MEAN_PROXY_DEN)
         return {
             "degree": self.degree,
             "alpha": self.alpha,
@@ -194,16 +218,12 @@ class DegreeSummary:
             "freq_clean": self.freq_clean,
             "mean_product_num": proxy,
             "mean_product_den_proxy": None if proxy is None else MEAN_PROXY_DEN,
-            "bound_E_raw": self.bound_E_raw,
-            "bound_E_clamped": self.bound_E_clamped,
-            "successful_trials": self.count_successful,
-            "l1": {"mean": frac12(self.l1_mean), "min": self.l1_min, "max": self.l1_max},
-            "deg": {"mean": frac12(self.deg_mean), "min": self.deg_min, "max": self.deg_max},
-            "product": {
-                "mean": frac12(self.product_mean),
-                "min": None if self.product_min is None else [self.product_min.numerator, self.product_min.denominator],
-                "max": None if self.product_max is None else [self.product_max.numerator, self.product_max.denominator],
-            },
+            "bound_E_raw": self.bound_E.raw,
+            "bound_E_clamped": self.bound_E.clamped,
+            "successful_trials": len(reports),
+            "l1": {"mean": frac12(l1_mean), "min": l1_min, "max": l1_max},
+            "deg": {"mean": frac12(deg_mean), "min": deg_min, "max": deg_max},
+            "product": {"mean": frac12(product_mean), "min": pair(product_min), "max": pair(product_max)},
         }
 
 
@@ -212,7 +232,11 @@ class CampaignSummary:
     config: CampaignConfig
     epsilon: float
     degrees: list[DegreeSummary] = field(default_factory=list)
-    trials: dict[int, list[TrialRecord]] = field(default_factory=dict)
+
+    @property
+    def trials(self) -> dict[int, tuple[TrialRecord, ...]]:
+        """Each rung's trial records, by degree."""
+        return {row.degree: row.records for row in self.degrees}
 
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
@@ -279,21 +303,6 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
     raise error
 
 
-def _family_polynomial(config: CampaignConfig, degree: int) -> NewmanPolynomial:
-    if config.family == "all_ones":
-        return NewmanPolynomial.all_ones(degree)
-    assert config.family_file is not None
-    with open(config.family_file, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            p = parse_polynomial(line, "exponent_list")
-            if p.degree == degree:
-                return p
-    raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")
-
-
 def record_from_trial(trial: SparsifyTrial) -> TrialRecord:
     """The trial without its mask: what a campaign keeps."""
     return TrialRecord(trial.trial_index, trial.trial_seed, trial.q_metrics, trial.flags)
@@ -331,60 +340,25 @@ def _run_degree(
         return [record for future in futures for record in future.result()]
 
 
-def _summarize_degree(
-    degree: int,
-    alpha,
-    config: CampaignConfig,
-    epsilon: float,
-    records: list[TrialRecord],
-) -> DegreeSummary:
-    trials = len(records)
-    reports = [r.q_metrics for r in records if r.q_metrics is not None]
-    bound = bad_event_E_bound(degree, config.c0, epsilon, config.alpha_exponent)
-
-    def agg(values):
-        if not values:
-            return None, None, None
-        total = sum(values, Fraction(0)) if isinstance(values[0], Fraction) else sum(values)
-        return min(values), max(values), Fraction(total, len(values))
-
-    l1_min, l1_max, l1_mean = agg([rep.l1 for rep in reports])
-    deg_min, deg_max, deg_mean = agg([rep.degree for rep in reports])
-    prod_min, prod_max, prod_mean = agg([rep.product for rep in reports])
-    return DegreeSummary(
-        degree=degree,
-        alpha=float(alpha),
-        epsilon=epsilon,
-        trials=trials,
-        count_E=sum(r.flags.E for r in records),
-        count_Ek=sum(r.flags.E_k_any for r in records),
-        count_D=sum(r.flags.D for r in records),
-        count_clean=sum(r.flags.clean for r in records),
-        count_successful=len(reports),
-        l1_min=l1_min, l1_max=l1_max, l1_mean=l1_mean,
-        deg_min=deg_min, deg_max=deg_max, deg_mean=deg_mean,
-        product_min=prod_min, product_max=prod_max, product_mean=prod_mean,
-        bound_E_raw=bound.raw,
-        bound_E_clamped=bound.clamped,
-    )
-
-
 def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
-    """Run every ladder degree and aggregate; reproducible from (config, seed)."""
+    """Run every ladder degree; reproducible from (config, seed)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     scfg = config.sparsify_config()
     epsilon = float(scfg.epsilon)
     summary = CampaignSummary(config=config, epsilon=epsilon)
     for degree in config.degree_ladder:
-        p = _family_polynomial(config, degree)
+        p = _FAMILIES[config.family](config, degree)
         p_height = int(square(p).max())
         alpha = alpha_of(p.degree, config.alpha_exponent)
-        records = _run_degree(p, scfg, config.trials_per_degree, p_height, workers)
-        summary.trials[degree] = records
-        summary.degrees.append(
-            _summarize_degree(degree, alpha, config, epsilon, records)
-        )
+        records = tuple(_run_degree(p, scfg, config.trials_per_degree, p_height, workers))
+        summary.degrees.append(DegreeSummary(
+            degree=degree,
+            alpha=float(alpha),
+            epsilon=epsilon,
+            bound_E=bad_event_E_bound(degree, config.c0, epsilon, config.alpha_exponent),
+            records=records,
+        ))
     return summary
 
 
@@ -433,7 +407,7 @@ def _trial_row(record: TrialRecord) -> list[str]:
     ]
 
 
-def trial_table_text(records: list[TrialRecord], format: str) -> str:
+def trial_table_text(records: Sequence[TrialRecord], format: str) -> str:
     """One trial table in `format` ("csv" or "json"), as the campaign writes it."""
     rows = [_trial_row(r) for r in records]
     if format == "csv":
@@ -462,11 +436,10 @@ def emit_results(summary: CampaignSummary) -> dict[str, str]:
     paths["summary"] = summary_path
 
     trial_files: dict[str, str] = {}
-    for degree in summary.config.degree_ladder:
-        name = f"trials_degree_{degree}.{fmt}"
-        path = os.path.join(out_dir, name)
-        write_text(path, trial_table_text(summary.trials.get(degree, []), fmt))
-        trial_files[str(degree)] = name
+    for row in summary.degrees:
+        name = f"trials_degree_{row.degree}.{fmt}"
+        write_text(os.path.join(out_dir, name), trial_table_text(row.records, fmt))
+        trial_files[str(row.degree)] = name
     paths["trials"] = out_dir
 
     manifest = {

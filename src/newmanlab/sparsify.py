@@ -28,7 +28,6 @@ from .poly import (
     NewmanPolynomial,
     RatioReport,
     as_zero_one,
-    metrics,
     ratio_report,
     square,
 )
@@ -163,9 +162,6 @@ class KeepMask:
     def __len__(self) -> int:
         return len(self.bits)
 
-    def same_as(self, other: "KeepMask") -> bool:
-        return self.bits.shape == other.bits.shape and bool((self.bits == other.bits).all())
-
 
 @dataclass(frozen=True)
 class BadEventFlags:
@@ -224,16 +220,13 @@ class CoefficientSplit:
 
     Odd k: `first` covers j = max(0, k-N)..floor(k/2), `second` the
     mirrored upper range, `diagonal` is 0.  Even k: the two halves exclude
-    j = k/2, whose kept term is `diagonal`.  `theta` is the expectation
-    correction alpha*(1-alpha)*p_{k/2}**2 when alpha is known (0 otherwise).
+    j = k/2, whose kept term is `diagonal`.
     """
 
     k: int
-    parity: str
     first: int
     second: int
     diagonal: int
-    theta: Union[Fraction, float]
 
     @property
     def total(self) -> int:
@@ -380,7 +373,6 @@ def split_coefficient(
     p: NewmanPolynomial,
     mask: KeepMask,
     k: int,
-    alpha: Optional[Probability] = None,
 ) -> CoefficientSplit:
     """Split the realized k-th squared coefficient into its independent parts."""
     N = p.degree
@@ -388,19 +380,12 @@ def split_coefficient(
         raise ValueError(f"k must lie in 0..{2 * N}")
     if len(mask) != N + 1:
         raise ValueError("mask length must equal degree + 1")
-    c = p.coefficients.tolist()
     kept = (p.coefficients & mask.bits).tolist()
     lower, upper = _half_ranges(k, N)
     first = sum(kept[j] * kept[k - j] for j in lower)
     second = sum(kept[j] * kept[k - j] for j in upper)
-    if k % 2 == 1:
-        return CoefficientSplit(k=k, parity="odd", first=first, second=second,
-                                diagonal=0, theta=Fraction(0))
-    half = k // 2
-    diagonal = kept[half]
-    theta = Fraction(0) if alpha is None else alpha * (1 - alpha) * c[half] ** 2
-    return CoefficientSplit(k=k, parity="even", first=first, second=second,
-                            diagonal=diagonal, theta=theta)
+    diagonal = 0 if k % 2 else kept[k // 2]
+    return CoefficientSplit(k=k, first=first, second=second, diagonal=diagonal)
 
 
 def classify_case(p: NewmanPolynomial, alpha: Probability, k: int) -> CaseLabel:
@@ -554,13 +539,15 @@ def detect_bad_events(
 
 
 def theorem_conclusion_check(
-    p: NewmanPolynomial,
+    p_report: RatioReport,
     trial: TrialRecord,
     config: SparsifyConfig,
 ) -> ConclusionReport:
     """Exact amplified-product check for a clean trial.
 
-    Requires a trial with a surviving polynomial and no bad events; verifies
+    `p_report` is `metrics(p)` for the dense polynomial p that the trial
+    thinned; compute it once and pass it for every trial of p.  Requires a
+    trial with a surviving polynomial and no bad events; verifies
     ratio(q)*deg(q) <= (1+eps)/(1-eps)**2 * ratio(p)*deg(p) in rational
     arithmetic and reports the mass and degree against their references.
     """
@@ -568,21 +555,21 @@ def theorem_conclusion_check(
         raise ValueError("trial produced the empty polynomial")
     if not trial.flags.clean:
         raise ValueError("trial has bad events; the conclusion check does not apply")
-    p_metrics = metrics(p)
     fe = Fraction(config.epsilon)
     amplification = exact_amplification(config.epsilon)
-    amplified = amplification * p_metrics.product
+    amplified = amplification * p_report.product
     q_report = trial.q_metrics
     assert q_report is not None
-    sparsity_reference = float(1 - fe) * p.degree ** float(1 - config.alpha_exponent)
+    N = p_report.degree
+    sparsity_reference = float(1 - fe) * N ** float(1 - config.alpha_exponent)
     return ConclusionReport(
         holds=q_report.product <= amplified,
         q_product=q_report.product,
-        p_product=p_metrics.product,
+        p_product=p_report.product,
         amplification=amplification,
         amplified_p_product=amplified,
         q_l1=q_report.l1,
         sparsity_reference=sparsity_reference,
         q_degree=q_report.degree,
-        degree_floor=Fraction(config.c0, 2) * p.degree,
+        degree_floor=Fraction(config.c0, 2) * N,
     )

@@ -44,7 +44,7 @@ def read(path):
 
 class TestConfig:
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^family must be one of \('all_ones', 'from_file'\)$"):
             small_config(tmp_path, family="fibonacci")
         with pytest.raises(ValueError):
             small_config(tmp_path, degree_ladder=(64, 32))
@@ -190,9 +190,9 @@ class TestRun:
                 assert 0.0 <= freq <= 1.0
             records = summary.trials[row.degree]
             assert len(records) == 25
-            assert row.count_E == sum(r.flags.E for r in records)
-            assert row.count_clean == sum(r.flags.clean for r in records)
-            assert row.count_successful == sum(not r.is_empty for r in records)
+            assert row.freq_E == sum(r.flags.E for r in records) / 25
+            assert row.freq_clean == sum(r.flags.clean for r in records) / 25
+            assert row.to_json_dict()["successful_trials"] == sum(not r.is_empty for r in records)
 
     def test_summary_recomputable_from_trial_rows(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -201,11 +201,13 @@ class TestRun:
             records = summary.trials[row.degree]
             succ = [r.q_metrics for r in records if not r.is_empty]
             mean_product = sum((q.product for q in succ), Fraction(0)) / len(succ)
-            assert row.product_mean == mean_product
-            assert row.mean_product_proxy() == round(mean_product * MEAN_PROXY_DEN)
-            assert row.l1_min == min(q.l1 for q in succ)
-            assert row.l1_max == max(q.l1 for q in succ)
-            assert row.deg_mean == Fraction(sum(q.degree for q in succ), len(succ))
+            deg_mean = Fraction(sum(q.degree for q in succ), len(succ))
+            rendered = row.to_json_dict()
+            assert rendered["product"]["mean"] == f"{float(mean_product):.12f}"
+            assert rendered["mean_product_num"] == round(mean_product * MEAN_PROXY_DEN)
+            assert rendered["l1"]["min"] == min(q.l1 for q in succ)
+            assert rendered["l1"]["max"] == max(q.l1 for q in succ)
+            assert rendered["deg"]["mean"] == f"{float(deg_mean):.12f}"
 
     def test_record_from_trial_drops_only_the_mask(self):
         trial = sample(NewmanPolynomial.all_ones(64), SparsifyConfig(epsilon=0.3, seed=2), 4)
@@ -252,7 +254,7 @@ class TestRun:
         summary = run_campaign(small_config(tmp_path, trials_per_degree=200))
         for row in summary.degrees:
             se = math.sqrt(max(row.freq_E * (1 - row.freq_E), 1e-9) / row.trials)
-            assert row.freq_E <= row.bound_E_clamped + 3 * se
+            assert row.freq_E <= row.bound_E.clamped + 3 * se
 
 
 class TestEmit:
@@ -384,3 +386,20 @@ class TestEmit:
         for name in (f"summary.{fmt}", f"trials_degree_32.{fmt}", f"trials_degree_64.{fmt}"):
             digest = hashlib.sha256(read(os.path.join(cfg.output_dir, name))).hexdigest()
             assert digest == self.DIGESTS[name], name
+
+    # alpha = 8**(-9/10): with seed 6 neither trial of rung 8 keeps a term,
+    # so every aggregate of that rung renders as empty.
+    EMPTY_RUNG_DIGESTS = {
+        "csv": "c69df6575f9997f71a5fd2a89b1b3e76f4bf5432ffe5f563d3b66384b6b4c039",
+        "json": "9804e5dbf8956c990fafac5470302a2dfefa89f6007b494fbbc4ec253c2bb937",
+    }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rung_without_survivors_digest_is_pinned(self, tmp_path, fmt):
+        cfg = CampaignConfig(family="all_ones", degree_ladder=(8, 64), trials_per_degree=2,
+                             alpha_exponent=Fraction(9, 10), epsilon=0.5, seed=6,
+                             output_dir=str(tmp_path / "out"), format=fmt)
+        summary = run_campaign(cfg)
+        assert [row.to_json_dict()["successful_trials"] for row in summary.degrees] == [0, 2]
+        paths = emit_results(summary)
+        assert hashlib.sha256(read(paths["summary"])).hexdigest() == self.EMPTY_RUNG_DIGESTS[fmt]

@@ -1,11 +1,16 @@
-"""Public names: every `__all__` entry of every newmanlab module resolves."""
+"""Public names: every `__all__` entry of every newmanlab module resolves, and so
+does every attribute the benchmark's tracer patches."""
 
 import importlib
+import importlib.util
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import newmanlab
+import newmanlab.cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(newmanlab.__path__))
 
@@ -24,3 +29,17 @@ def test_trial_record_is_exported_once():
     assert newmanlab.TrialRecord is sparsify.TrialRecord
     assert "TrialRecord" in sparsify.__all__
     assert "TrialRecord" not in experiment.__all__
+
+
+def test_benchmark_trace_points_resolve():
+    """The benchmark's tracer patches these attributes; each must stay a callable."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = tracing._bindings(newmanlab)
+    assert bindings
+    for owner, attr, _, _ in bindings:
+        assert callable(getattr(owner, attr, None)), (owner, attr)
+    # The benchmark's correctness gate passes a precomputed square height.
+    inspect.signature(newmanlab.sample).bind(None, None, 0, p_square_height=1)
