@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from . import __version__
 from .concentration import (
-    ConcentrationQuery,
     bad_event_E_bound,
     c_epsilon,
     choose_epsilon,
@@ -118,7 +117,7 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
         payload["epsilon"] = epsilon
         payload["c_epsilon"] = c_epsilon(epsilon)
         if args.mean is not None:
-            bound = tail_bound(ConcentrationQuery(epsilon=epsilon, mean=args.mean))
+            bound = tail_bound(epsilon, args.mean)
             payload["tail_bound"] = {"mean": args.mean, "raw": bound.raw,
                                      "clamped": bound.clamped}
         if args.n is not None:

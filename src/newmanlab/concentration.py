@@ -1,10 +1,10 @@
 """Tail bounds for sums of independent indicator variables.
 
 Provides the explicit exponent c(eps), the two-sided tail bound
-2*exp(-c(eps)*mean), the specialization of that bound to the thinned-mass
-event driven by N**(1 - exponent), and the rule that picks the largest
-deviation parameter compatible with a target amplification of the ratio
-product.
+`tail_bound(epsilon, mean)` = 2*exp(-c(eps)*mean), the specialization of
+that bound to the thinned-mass event driven by N**(1 - exponent), and the
+rule that picks the largest deviation parameter compatible with a target
+amplification of the ratio product.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ConcentrationQuery",
     "TailBound",
     "EpsilonChoice",
     "c_epsilon",
@@ -46,20 +45,6 @@ def c_epsilon(epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConcentrationQuery:
-    """Deviation parameter and the mean of the indicator sum being bounded."""
-
-    epsilon: float
-    mean: float
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 <= self.mean < math.inf:
-            raise ValueError(f"mean must be nonnegative and finite, got {self.mean}")
-
-
-@dataclass(frozen=True)
 class TailBound:
     """A probability bound, both as computed and clamped into [0, 1]."""
 
@@ -67,13 +52,17 @@ class TailBound:
     clamped: float
 
 
-def tail_bound(query: ConcentrationQuery) -> TailBound:
-    """Two-sided bound 2*exp(-c(eps)*mean) on P{|X - EX| > eps*EX}.
+def tail_bound(epsilon: float, mean: float) -> TailBound:
+    """Two-sided bound 2*exp(-c(eps)*mean) on P{|X - EX| > eps*EX}, EX = mean.
 
     Values above 1 are vacuous; the raw number is kept so callers can see
     how far from useful the bound is.
     """
-    raw = 2.0 * math.exp(-c_epsilon(query.epsilon) * query.mean)
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean must be nonnegative and finite, got {mean}")
+    raw = 2.0 * math.exp(-c_epsilon(epsilon) * mean)
     return TailBound(raw=raw, clamped=min(1.0, raw))
 
 
@@ -98,7 +87,7 @@ def bad_event_E_bound(
     if not 0.0 < ef < 1.0:
         raise ValueError("alpha_exponent must lie in (0, 1)")
     mean_floor = c0f * N ** (1.0 - ef)
-    return tail_bound(ConcentrationQuery(epsilon=epsilon, mean=mean_floor))
+    return tail_bound(epsilon, mean_floor)
 
 
 @dataclass(frozen=True)

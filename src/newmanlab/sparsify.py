@@ -8,9 +8,13 @@ height of p**2 (events E_k), and did its degree collapse below (c0/2)*N
 (event D)?  Trials are reproducible: the per-trial stream is derived from
 (master seed, trial index) alone, so results do not depend on scheduling.
 
-All event thresholds are evaluated in exact rational arithmetic (floats are
-converted to the rationals they represent), which keeps the flags consistent
-with the exact inequality chain checked by `theorem_conclusion_check`.
+alpha is always an exact Fraction: 1/N**exponent itself when that is
+rational, otherwise the exact value of the float N**(-exponent) that the mask
+is drawn against.  All event thresholds are evaluated in exact rational
+arithmetic (a float epsilon is converted to the rational it represents),
+which keeps the flags consistent with the exact inequality chain checked by
+`theorem_conclusion_check`.  `expectation_oracle` checks the expectation
+formulas by enumerating every mask of a small p.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
     "SparsifyTrial",
     "CoefficientSplit",
     "CaseLabel",
-    "ExclusionThreshold",
     "ConclusionReport",
     "alpha_of",
     "sample",
@@ -49,8 +52,6 @@ __all__ = [
     "expected_l1",
     "expected_square_coeff",
     "expectation_oracle",
-    "expectation_oracle_all",
-    "expected_l1_oracle",
     "split_coefficient",
     "classify_case",
     "case_a_exclusion_threshold",
@@ -61,8 +62,7 @@ __all__ = [
 RNG_ALGORITHM = "numpy-pcg64/seedsequence(entropy=[master_seed,trial_index])"
 
 _ENUMERATION_DEGREE_CAP = 20
-
-Probability = Union[Fraction, float]
+_MASK_BLOCK = 1 << 14
 
 
 def _int_nth_root(x: int, n: int) -> int:
@@ -71,6 +71,8 @@ def _int_nth_root(x: int, n: int) -> int:
         raise ValueError("nth root needs x >= 0 and n >= 1")
     if x < 2 or n == 1:
         return x
+    if x.bit_length() <= n:  # x < 2**n
+        return 1
     r = 1 << -(-x.bit_length() // n)  # upper seed
     while True:
         nr = ((n - 1) * r + x // r ** (n - 1)) // n
@@ -79,23 +81,23 @@ def _int_nth_root(x: int, n: int) -> int:
         r = nr
 
 
-def alpha_of(N: int, exponent: Fraction) -> Probability:
-    """Keep probability N**(-exponent).
+def alpha_of(N: int, exponent: Fraction) -> Fraction:
+    """Keep probability N**(-exponent), as an exact Fraction.
 
-    Returned as an exact Fraction whenever N**exponent is rational (for
-    instance N = 1024 with exponent 1/10 gives exactly 1/2), otherwise as a
-    float.
+    With exponent = a/b in lowest terms, N**exponent is rational exactly
+    when N is a perfect b-th power, and then alpha is 1/root**a (N = 1024
+    with exponent 1/10 gives 1/2).  Otherwise alpha is the exact value of
+    the float N**(-exponent).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     exponent = Fraction(exponent)
     if not 0 < exponent < 1:
         raise ValueError("exponent must lie in (0, 1)")
-    power = N ** exponent.numerator
-    root = _int_nth_root(power, exponent.denominator)
-    if root ** exponent.denominator == power:
-        return Fraction(1, root)
-    return float(N) ** (-float(exponent))
+    root = _int_nth_root(N, exponent.denominator)
+    if root ** exponent.denominator == N:
+        return Fraction(1, root ** exponent.numerator)
+    return Fraction(float(N) ** -float(exponent))
 
 
 @dataclass(frozen=True)
@@ -245,20 +247,8 @@ class CaseLabel:
 
     k: int
     label: str
-    means: tuple
-    threshold: Union[Fraction, float]
-
-
-@dataclass(frozen=True)
-class ExclusionThreshold:
-    """Least scale beyond which small-mean coefficients cannot overshoot.
-
-    `capped` is set when no scale below the search cap satisfies the
-    inequality (then `n` is the cap itself).
-    """
-
-    n: int
-    capped: bool
+    means: tuple[Fraction, Fraction]
+    threshold: Fraction
 
 
 @dataclass(frozen=True)
@@ -266,27 +256,23 @@ class ConclusionReport:
     """Exact check of the amplified-product inequality on a clean trial."""
 
     holds: bool
-    q_product: Fraction
-    p_product: Fraction
     amplification: Fraction
     amplified_p_product: Fraction
-    q_l1: int
     sparsity_reference: float  # (1-eps) * N**(1 - alpha_exponent)
-    q_degree: int
     degree_floor: Fraction  # (c0/2) * N
 
 
-def expected_l1(p: NewmanPolynomial, alpha: Probability) -> Probability:
-    """Mean kept mass alpha * l1(p), exact when alpha is rational."""
+def expected_l1(p: NewmanPolynomial, alpha: Fraction) -> Fraction:
+    """Mean kept mass alpha * l1(p)."""
     return alpha * p.l1
 
 
 def expected_square_coeff(
     p: NewmanPolynomial,
-    alpha: Probability,
+    alpha: Fraction,
     k: int,
     square_coeffs: Optional[np.ndarray] = None,
-) -> tuple[Probability, Probability]:
+) -> tuple[Fraction, Fraction]:
     """Mean of the k-th squared coefficient of the thinned polynomial.
 
     Returns (value, theta): for odd k the value is alpha**2 * (p**2)_k and
@@ -298,64 +284,43 @@ def expected_square_coeff(
     sq = square(p) if square_coeffs is None else square_coeffs
     base = alpha * alpha * int(sq[k])
     if k % 2 == 1:
-        return base, alpha * 0
+        return base, Fraction(0)
     theta = alpha * (1 - alpha) * int(p.coefficients[k // 2]) ** 2
     return base + theta, theta
 
 
-@lru_cache(maxsize=8)
-def _mask_enumeration_tables(p: NewmanPolynomial) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Literal enumeration of all 2**(N+1) masks.
+def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fraction], Fraction]:
+    """Exact E[(q**2)_k] for k = 0..2N, and E[l1(q)], by enumerating every mask.
 
-    Returns (S, L) where S[k][w] sums the k-th squared coefficient over all
-    masks of weight w, and L[w] sums the kept mass over the same masks.
-    Exponentially slow by design; capped at degree 20.
+    Each block of masks is the rows of a 0/1 matrix; every kept polynomial
+    is squared by summing its pair products, and the squares and masses
+    are totalled by mask weight w.  With alpha = a/b a mask of weight w has
+    probability a**w * (b-a)**(n-w) / b**n over n = N+1 positions, so each
+    mean is finished in integers.  Exponentially slow by design; capped at
+    degree 20.
     """
-    n = p.degree + 1
     if p.degree > _ENUMERATION_DEGREE_CAP:
         raise ValueError(f"mask enumeration capped at degree {_ENUMERATION_DEGREE_CAP}")
-    sup = p.support.tolist()
-    S = [[0] * (n + 1) for _ in range(2 * p.degree + 1)]
-    L = [0] * (n + 1)
-    for m in range(1 << n):
-        w = m.bit_count()
-        kept = [j for j in sup if (m >> j) & 1]
-        L[w] += len(kept)
-        for a in kept:
-            for b in kept:
-                S[a + b][w] += 1
-    return tuple(tuple(row) for row in S), tuple(L)
-
-
-def _weight_probabilities(n_positions: int, alpha: Fraction) -> list[Fraction]:
-    fa = Fraction(alpha)
-    return [fa ** w * (1 - fa) ** (n_positions - w) for w in range(n_positions + 1)]
-
-
-def expectation_oracle(p: NewmanPolynomial, alpha: Fraction, k: int) -> Fraction:
-    """Exact E[(q**2)_k] by summing probability * coefficient over every mask."""
-    if not 0 <= k <= 2 * p.degree:
-        raise ValueError(f"k must lie in 0..{2 * p.degree}")
-    S, _ = _mask_enumeration_tables(p)
-    pw = _weight_probabilities(p.degree + 1, alpha)
-    return sum((pw[w] * count for w, count in enumerate(S[k]) if count), Fraction(0))
-
-
-def expectation_oracle_all(p: NewmanPolynomial, alpha: Fraction) -> list[Fraction]:
-    """Exact E[(q**2)_k] for every k at once (same enumeration as the oracle)."""
-    S, _ = _mask_enumeration_tables(p)
-    pw = _weight_probabilities(p.degree + 1, alpha)
-    return [
-        sum((pw[w] * count for w, count in enumerate(row) if count), Fraction(0))
-        for row in S
-    ]
-
-
-def expected_l1_oracle(p: NewmanPolynomial, alpha: Fraction) -> Fraction:
-    """Exact E[kept mass] by full mask enumeration."""
-    _, L = _mask_enumeration_tables(p)
-    pw = _weight_probabilities(p.degree + 1, alpha)
-    return sum((pw[w] * count for w, count in enumerate(L) if count), Fraction(0))
+    n = p.degree + 1
+    positions = np.arange(n)
+    # A mask's row holds its square and, last, its mass: each entry is at
+    # most n <= 21, so uint8.  totals[k, w] sums row entry k over the masks
+    # of weight w: at most 2**21 * 21 < 2**53, so float64 sums are exact.
+    totals = np.zeros((2 * n, n + 1))
+    for start in range(0, 1 << n, _MASK_BLOCK):
+        masks = np.arange(start, min(start + _MASK_BLOCK, 1 << n))
+        bits = ((masks[:, None] >> positions) & 1).astype(np.uint8)
+        kept = bits & p.coefficients
+        rows = np.zeros((len(masks), 2 * n), dtype=np.uint8)
+        for i in p.support.tolist():
+            rows[:, i:i + n] += kept[:, i:i + 1] * kept
+        rows[:, -1] = kept.sum(axis=1)
+        totals += rows.T @ (bits.sum(axis=1)[:, None] == np.arange(n + 1)).astype(np.float64)
+    a, b = alpha.numerator, alpha.denominator
+    odds = [a ** w * (b - a) ** (n - w) for w in range(n + 1)]
+    means = [Fraction(sum(map(int.__mul__, row, odds)), b ** n)
+             for row in totals.astype(np.int64).tolist()]
+    return means[:-1], means[-1]
 
 
 def _half_ranges(k: int, N: int) -> tuple[range, range]:
@@ -388,7 +353,7 @@ def split_coefficient(
     return CoefficientSplit(k=k, first=first, second=second, diagonal=diagonal)
 
 
-def classify_case(p: NewmanPolynomial, alpha: Probability, k: int) -> CaseLabel:
+def classify_case(p: NewmanPolynomial, alpha: Fraction, k: int) -> CaseLabel:
     """Group the two halves of coefficient k by whether their mean is small.
 
     The half-sum means are alpha**2 times the unit-product counts of each
@@ -402,7 +367,7 @@ def classify_case(p: NewmanPolynomial, alpha: Probability, k: int) -> CaseLabel:
         raise ValueError(f"k must lie in 0..{2 * N}")
     c = p.coefficients.tolist()
     mean = alpha * alpha * sum(c[j] * c[k - j] for j in _half_ranges(k, N)[0])
-    threshold = Fraction(1) / alpha if isinstance(alpha, Fraction) else 1.0 / alpha
+    threshold = 1 / alpha
     label = "a" if mean <= threshold else "c"
     return CaseLabel(k=k, label=label, means=(mean, mean), threshold=threshold)
 
@@ -412,41 +377,40 @@ def case_a_exclusion_threshold(
     epsilon: float,
     alpha_exponent: Fraction,
     cap: int = 10 ** 12,
-) -> ExclusionThreshold:
+) -> Optional[int]:
     """Least N with 2*N**(3e) + 1 < (1+eps) * (c0**2/3) * N**(1-2e).
 
     Beyond this scale a coefficient whose two half-sums both have small
     mean can never overshoot the height budget: each half is then at most
     N**(3e) while the budget grows like N**(1-2e) thanks to the height
-    floor c0**2*N**2/(2N+1) >= (c0**2/3)*N.  Returns the cap with a flag
-    when no such N exists below it (e.g. for alpha_exponent >= 1/5).
+    floor c0**2*N**2/(2N+1) >= (c0**2/3)*N.  Returns None when no N up to
+    `cap` satisfies it (e.g. for alpha_exponent >= 1/5).
     """
     c0 = Fraction(c0)
     if not 0 < c0 <= 1:
         raise ValueError("c0 must lie in (0, 1]")
-    if not 0 < Fraction(alpha_exponent) < 1:
+    if not 0 < alpha_exponent < 1:
         raise ValueError("alpha_exponent must lie in (0, 1)")
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    e = float(Fraction(alpha_exponent))
+    e = float(alpha_exponent)
     amplitude = (1.0 + epsilon) * float(c0) ** 2 / 3.0
 
     def satisfied(n: int) -> bool:
         return 2.0 * n ** (3.0 * e) + 1.0 < amplitude * n ** (1.0 - 2.0 * e)
 
-    hi = 1
-    while hi <= cap and not satisfied(hi):
-        hi *= 2
-    if hi > cap:
-        return ExclusionThreshold(n=cap, capped=True)
-    lo = hi // 2  # satisfied(lo) is False (or lo == 0)
+    lo, hi = 0, 1  # satisfied(lo) is False (or lo == 0)
+    while not satisfied(hi):
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(2 * hi, cap)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if satisfied(mid):
             hi = mid
         else:
             lo = mid
-    return ExclusionThreshold(n=hi, capped=False)
+    return hi
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +420,7 @@ def case_a_exclusion_threshold(
 class _Cutoffs(NamedTuple):
     """Exact event cutoffs for thinning one p with one config."""
 
-    alpha: Probability
+    alpha: Fraction
     low_mass: Fraction       # E: kept mass below this
     height: int              # E_k: squared coefficient above this
     degree: Fraction         # D: degree of q at most this
@@ -466,12 +430,11 @@ class _Cutoffs(NamedTuple):
 def _cutoffs(degree: int, l1: int, p_square_height: int, config: SparsifyConfig) -> _Cutoffs:
     # Keyed on numbers, not on p: hashing p would copy its coefficients.
     alpha = alpha_of(degree, config.alpha_exponent)
-    fa = Fraction(alpha)
     fe = Fraction(config.epsilon)
     return _Cutoffs(
         alpha=alpha,
-        low_mass=(1 - fe) * fa * l1,
-        height=math.floor((1 + fe) * fa * fa * p_square_height),
+        low_mass=(1 - fe) * alpha * l1,
+        height=math.floor((1 + fe) * alpha * alpha * p_square_height),
         degree=Fraction(config.c0, 2) * degree,
     )
 
@@ -549,27 +512,20 @@ def theorem_conclusion_check(
     thinned; compute it once and pass it for every trial of p.  Requires a
     trial with a surviving polynomial and no bad events; verifies
     ratio(q)*deg(q) <= (1+eps)/(1-eps)**2 * ratio(p)*deg(p) in rational
-    arithmetic and reports the mass and degree against their references.
+    arithmetic and gives the references for the mass and degree of q.
     """
     if trial.is_empty:
         raise ValueError("trial produced the empty polynomial")
     if not trial.flags.clean:
         raise ValueError("trial has bad events; the conclusion check does not apply")
-    fe = Fraction(config.epsilon)
     amplification = exact_amplification(config.epsilon)
     amplified = amplification * p_report.product
-    q_report = trial.q_metrics
-    assert q_report is not None
     N = p_report.degree
-    sparsity_reference = float(1 - fe) * N ** float(1 - config.alpha_exponent)
+    mass_scale = N ** float(1 - config.alpha_exponent)
     return ConclusionReport(
-        holds=q_report.product <= amplified,
-        q_product=q_report.product,
-        p_product=p_report.product,
+        holds=trial.q_metrics.product <= amplified,
         amplification=amplification,
         amplified_p_product=amplified,
-        q_l1=q_report.l1,
-        sparsity_reference=sparsity_reference,
-        q_degree=q_report.degree,
+        sparsity_reference=float(1 - Fraction(config.epsilon)) * mass_scale,
         degree_floor=Fraction(config.c0, 2) * N,
     )

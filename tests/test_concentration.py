@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from newmanlab.concentration import (
-    ConcentrationQuery,
     bad_event_E_bound,
     c_epsilon,
     choose_epsilon,
@@ -63,31 +62,31 @@ class TestCEpsilon:
 
 class TestTailBound:
     def test_example(self):
-        b = tail_bound(ConcentrationQuery(epsilon=1.0, mean=10.0))
+        b = tail_bound(1.0, 10.0)
         expected = 2 * math.exp(-10 * (2 * math.log(2) - 1))
         assert b.raw == pytest.approx(expected, rel=1e-13)
         assert b.raw == pytest.approx(0.04199, abs=5e-5)
         assert b.clamped == b.raw
 
     def test_zero_mean_is_vacuous(self):
-        b = tail_bound(ConcentrationQuery(epsilon=0.1, mean=0.0))
+        b = tail_bound(0.1, 0.0)
         assert b.raw == 2.0
         assert b.clamped == 1.0
 
     def test_huge_mean_underflows_quietly(self):
-        b = tail_bound(ConcentrationQuery(epsilon=1.0, mean=1e6))
+        b = tail_bound(1.0, 1e6)
         assert b.raw == 0.0
         assert b.clamped == 0.0
 
     def test_monotone_in_mean(self):
-        values = [tail_bound(ConcentrationQuery(0.5, m)).raw for m in (0, 1, 10, 100, 1000)]
+        values = [tail_bound(0.5, m).raw for m in (0, 1, 10, 100, 1000)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_query_validation(self):
-        with pytest.raises(ValueError):
-            ConcentrationQuery(epsilon=0.0, mean=1.0)
-        with pytest.raises(ValueError):
-            ConcentrationQuery(epsilon=0.5, mean=-1.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            tail_bound(0.0, 1.0)
+        with pytest.raises(ValueError, match="mean must be nonnegative and finite, got -1.0"):
+            tail_bound(0.5, -1.0)
 
     def test_empirical_grid(self):
         # Observed two-sided tail frequency must respect the bound up to
@@ -98,7 +97,7 @@ class TestTailBound:
             mean = m * prob
             draws = rng.binomial(m, prob, size=trials)
             for eps in (0.5, 1.0):
-                bound = tail_bound(ConcentrationQuery(eps, mean)).clamped
+                bound = tail_bound(eps, mean).clamped
                 freq = float(np.mean(np.abs(draws - mean) > eps * mean))
                 se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
                 assert freq <= bound + 3 * se, (m, prob, eps, freq, bound)

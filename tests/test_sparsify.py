@@ -20,9 +20,7 @@ from newmanlab.sparsify import (
     classify_case,
     detect_bad_events,
     expectation_oracle,
-    expectation_oracle_all,
     expected_l1,
-    expected_l1_oracle,
     expected_square_coeff,
     sample,
     split_coefficient,
@@ -52,14 +50,19 @@ class TestAlphaOf:
         assert alpha_of(10 ** 10, Fraction(1, 10)) == Fraction(1, 10)
 
     def test_inexact_falls_back_to_float(self):
-        a = alpha_of(1000, Fraction(1, 10))
-        assert isinstance(a, float)
-        assert a == pytest.approx(1000 ** -0.1, rel=1e-14)
+        assert alpha_of(1000, Fraction(1, 10)) == Fraction(1000.0 ** -0.1)
+
+    @pytest.mark.parametrize("exponent", [Fraction(1, 10 ** 11),
+                                          Fraction(10 ** 11 - 1, 10 ** 11)])
+    def test_huge_denominator_is_immediate(self, exponent):
+        # N = 1000 is no perfect 10**11-th power; no root of N**a is taken.
+        assert alpha_of(1000, exponent) == Fraction(1000.0 ** -float(exponent))
+        assert alpha_of(1, exponent) == 1
 
     def test_range(self):
         for n in (2, 3, 17, 1000, 12345):
             a = alpha_of(n, Fraction(1, 10))
-            assert 0 < float(a) <= 1
+            assert isinstance(a, Fraction) and 0 < a <= 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -156,11 +159,11 @@ class TestExpectations:
         value, theta = expected_square_coeff(p, Fraction(1, 2), 2)
         assert value == 1
         assert theta == Fraction(1, 4)
-        assert expectation_oracle(p, Fraction(1, 2), 2) == 1
+        assert expectation_oracle(p, Fraction(1, 2))[0][2] == 1
 
     def test_oracle_two_term_example(self):
         p = parse_polynomial("0,3")
-        assert expectation_oracle(p, Fraction(1, 3), 3) == Fraction(2, 9)
+        assert expectation_oracle(p, Fraction(1, 3))[0][3] == Fraction(2, 9)
         value, _ = expected_square_coeff(p, Fraction(1, 3), 3)
         assert value == Fraction(2, 9)
 
@@ -168,8 +171,6 @@ class TestExpectations:
         p = parse_polynomial("111", "bitstring")
         with pytest.raises(ValueError):
             expected_square_coeff(p, Fraction(1, 2), 5)
-        with pytest.raises(ValueError):
-            expectation_oracle(p, Fraction(1, 2), -1)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
     def test_formula_matches_enumeration_degree_le_6(self, alpha):
@@ -178,7 +179,7 @@ class TestExpectations:
                 coeffs = [(bits >> j) & 1 for j in range(degree)] + [1]
                 p = NewmanPolynomial(coeffs)
                 sq = square(p)
-                oracle = expectation_oracle_all(p, alpha)
+                oracle, _ = expectation_oracle(p, alpha)
                 for k in range(2 * degree + 1):
                     value, _ = expected_square_coeff(p, alpha, k, square_coeffs=sq)
                     assert value == oracle[k], (coeffs, k, alpha)
@@ -191,7 +192,7 @@ class TestExpectations:
     @settings(max_examples=40, deadline=None)
     def test_formula_matches_enumeration_random(self, sup, alpha):
         p = NewmanPolynomial.from_support(sup)
-        oracle = expectation_oracle_all(p, alpha)
+        oracle, _ = expectation_oracle(p, alpha)
         for k in range(2 * p.degree + 1):
             value, theta = expected_square_coeff(p, alpha, k)
             assert value == oracle[k]
@@ -206,16 +207,42 @@ class TestExpectations:
     @settings(max_examples=30, deadline=None)
     def test_l1_enumeration_matches_linearity(self, sup, alpha):
         p = NewmanPolynomial.from_support(sup)
-        assert expected_l1_oracle(p, alpha) == alpha * p.l1
+        assert expectation_oracle(p, alpha)[1] == alpha * p.l1
 
     def test_l1_enumeration_at_degree_ten(self):
         p = NewmanPolynomial.all_ones(10)
         for alpha in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
-            assert expected_l1_oracle(p, alpha) == alpha * 11
+            assert expectation_oracle(p, alpha)[1] == alpha * 11
+
+    def test_formula_matches_enumeration_over_several_blocks(self):
+        # Degree 15: 2**16 masks, four enumeration blocks.
+        rng = np.random.default_rng(15)
+        bits = (rng.random(16) < 0.5).astype(np.uint8)
+        bits[-1] = 1
+        p = NewmanPolynomial(bits)
+        alpha = Fraction(2, 7)
+        oracle, mass = expectation_oracle(p, alpha)
+        sq = square(p)
+        assert oracle == [expected_square_coeff(p, alpha, k, square_coeffs=sq)[0]
+                          for k in range(31)]
+        assert mass == alpha * p.l1
+
+    def test_oracle_squares_by_itself(self, monkeypatch):
+        p = parse_polynomial("1101", "bitstring")
+        alpha = Fraction(1, 3)
+        formula = [expected_square_coeff(p, alpha, k)[0] for k in range(7)]
+
+        def no_square(*args, **kwargs):
+            raise AssertionError("the oracle used a squaring routine")
+
+        monkeypatch.setattr(newmanlab.sparsify, "square", no_square)
+        monkeypatch.setattr(newmanlab.poly, "square", no_square)
+        monkeypatch.setattr(newmanlab.sparsify, "expected_square_coeff", no_square)
+        assert expectation_oracle(p, alpha) == (formula, alpha * 3)
 
     def test_enumeration_cap(self):
-        with pytest.raises(ValueError):
-            expectation_oracle(NewmanPolynomial.all_ones(21), Fraction(1, 2), 0)
+        with pytest.raises(ValueError, match="capped at degree 20"):
+            expectation_oracle(NewmanPolynomial.all_ones(21), Fraction(1, 2))
 
 
 class TestSplit:
@@ -327,21 +354,24 @@ class TestExclusionThreshold:
 
         scan = next(n for n in range(1, 1000) if ok(n))
         assert scan == 47
-        result = case_a_exclusion_threshold(c0, eps, e)
-        assert (result.n, result.capped) == (47, False)
+        assert case_a_exclusion_threshold(c0, eps, e) == 47
 
     def test_small_exponent_small_threshold(self):
         tight = case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 100))
         loose = case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 10))
-        assert tight.n < loose.n
+        assert tight < loose
 
     def test_tiny_c0_hits_cap(self):
-        result = case_a_exclusion_threshold(Fraction(1, 10 ** 6), 0.02, Fraction(1, 10), cap=10 ** 6)
-        assert result.capped and result.n == 10 ** 6
+        tiny = Fraction(1, 10 ** 6)
+        assert case_a_exclusion_threshold(tiny, 0.02, Fraction(1, 10), cap=10 ** 6) is None
 
     def test_large_exponent_never_satisfied(self):
-        result = case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 4), cap=10 ** 9)
-        assert result.capped
+        assert case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 4), cap=10 ** 9) is None
+
+    def test_cap_between_powers_of_two(self):
+        # 47 lies between 32 and 64: a cap of 50 finds it, a cap of 46 does not.
+        assert case_a_exclusion_threshold(Fraction(1), 0.02, Fraction(1, 10), cap=50) == 47
+        assert case_a_exclusion_threshold(Fraction(1), 0.02, Fraction(1, 10), cap=46) is None
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -501,10 +531,10 @@ class TestConclusion:
         p, cfg, trial = self._clean_trial()
         report = theorem_conclusion_check(metrics(p), trial, cfg)
         assert report.holds
-        assert report.q_product <= report.amplified_p_product
+        assert trial.q_metrics.product <= report.amplified_p_product
         assert report.amplification == (1 + Fraction(0.5)) / (1 - Fraction(0.5)) ** 2
-        assert report.q_l1 == trial.q_metrics.l1
-        assert report.q_degree > report.degree_floor
+        assert report.amplified_p_product == report.amplification * metrics(p).product
+        assert trial.q_metrics.degree > report.degree_floor
         assert report.sparsity_reference == pytest.approx(0.5 * 1024 ** 0.9)
 
     def test_does_not_square_p(self, monkeypatch):
@@ -518,7 +548,8 @@ class TestConclusion:
         monkeypatch.setattr(newmanlab.sparsify, "square", no_square)
         monkeypatch.setattr(newmanlab.poly, "square", no_square)
         report = theorem_conclusion_check(p_report, trial, cfg)
-        assert report.holds and report.p_product == p_report.product
+        assert report.holds
+        assert report.amplified_p_product == report.amplification * p_report.product
 
     def test_rejects_bad_event_trial(self):
         p = NewmanPolynomial.all_ones(100)
