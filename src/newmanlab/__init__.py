@@ -12,7 +12,6 @@ from .poly import (  # noqa: F401
     square_oracle,
 )
 from .concentration import (  # noqa: F401
-    EpsilonChoice,
     TailBound,
     bad_event_E_bound,
     c_epsilon,

@@ -13,6 +13,7 @@ from .concentration import (
     bad_event_E_bound,
     c_epsilon,
     choose_epsilon,
+    exact_amplification,
     tail_bound,
 )
 from .experiment import (
@@ -104,15 +105,15 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
     if args.rho is not None or args.rho_prime is not None:
         if args.rho is None or args.rho_prime is None:
             raise ValueError("--rho and --rho-prime must be given together")
-        choice = choose_epsilon(args.rho, args.rho_prime)
+        chosen = choose_epsilon(args.rho, args.rho_prime)
         payload["choice"] = {
-            "rho": str(choice.rho),
-            "rho_prime": str(choice.rho_prime),
-            "epsilon": choice.epsilon,
-            "amplification": choice.amplification,
+            "rho": str(args.rho),
+            "rho_prime": str(args.rho_prime),
+            "epsilon": chosen,
+            "amplification": float(exact_amplification(chosen)),
         }
         if epsilon is None:
-            epsilon = choice.epsilon
+            epsilon = chosen
     if epsilon is not None:
         payload["epsilon"] = epsilon
         payload["c_epsilon"] = c_epsilon(epsilon)
@@ -253,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"newman: error: {exc}\n")
+        return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"newman: error: out of memory: {exc}\n")
         return 1
 
 

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 __all__ = [
     "TailBound",
-    "EpsilonChoice",
     "c_epsilon",
     "tail_bound",
     "bad_event_E_bound",
@@ -90,16 +89,6 @@ def bad_event_E_bound(
     return tail_bound(epsilon, mean_floor)
 
 
-@dataclass(frozen=True)
-class EpsilonChoice:
-    """Largest deviation parameter keeping the amplified product under rho_prime."""
-
-    rho: Fraction
-    rho_prime: Fraction
-    epsilon: float
-    amplification: float  # (1 + eps) / (1 - eps)**2
-
-
 def exact_amplification(epsilon: float) -> Fraction:
     """(1+eps)/(1-eps)**2 as the exact rational of the float eps: the factor
     by which thinning may amplify the ratio product."""
@@ -107,7 +96,7 @@ def exact_amplification(epsilon: float) -> Fraction:
     return (1 + fe) / (1 - fe) ** 2
 
 
-def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | float) -> EpsilonChoice:
+def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | float) -> float:
     """Pick the largest eps in (0, 1) with (1+eps)/(1-eps)**2 * rho <= rho_prime.
 
     The boundary satisfies r*eps**2 - (2r+1)*eps + (r-1) = 0 with
@@ -126,9 +115,4 @@ def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | floa
         eps = math.nextafter(eps, 0.0)
     if not 0.0 < eps < 1.0:
         raise ValueError("no valid epsilon in (0, 1)")
-    return EpsilonChoice(
-        rho=frho,
-        rho_prime=frho_prime,
-        epsilon=eps,
-        amplification=float(exact_amplification(eps)),
-    )
+    return eps

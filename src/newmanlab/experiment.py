@@ -1,7 +1,10 @@
 """Reproducible experiment campaigns over a ladder of degrees.
 
 A campaign builds one dense polynomial per ladder degree and runs a fixed
-number of seeded thinning trials against it.  Each rung keeps its trial
+number of seeded thinning trials against it.  Its config is a thinning
+config (`SparsifyConfig`, which declares and checks every thinning
+parameter) that adds the family, ladder, trial count and output settings,
+and every trial takes the campaign config itself.  Each rung keeps its trial
 records and the predicted tail bound of event E; every summary column
 (bad-event frequencies, surviving counts, exact l1/degree/product
 aggregates) is derived from those records when it is rendered.  The flat
@@ -91,31 +94,28 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+@dataclass(frozen=True, kw_only=True)
+class CampaignConfig(SparsifyConfig):
+    """A thinning config plus the ladder it runs on and where it writes.
+
+    The thinning parameters and their checks are `SparsifyConfig`'s, so a
+    campaign config is passed to `sample` as it is.  An epsilon derived
+    from (rho, rho_prime) is hashed and written to the manifest config as
+    null, as it was not given; `dataclasses.replace` would pass the derived
+    value back in and carry it as if it had been given.
+    """
+
     family: str
     degree_ladder: tuple[int, ...]
     trials_per_degree: int
-    alpha_exponent: Fraction = Fraction(1, 10)
-    epsilon: Optional[float] = None
-    rho: Optional[Fraction] = None
-    rho_prime: Optional[Fraction] = None
-    c0: Fraction = Fraction(1)
-    seed: int = 0
     output_dir: str = "results"
     format: str = "csv"
     family_file: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree_ladder", tuple(int(n) for n in self.degree_ladder))
-        # Rejects bad thinning parameters now, not at run time, and keeps the
-        # exact Fractions it makes of them.  A derived epsilon is not copied
-        # back: it stays None here, and so in the hash.  The run reuses scfg.
-        scfg = SparsifyConfig(**{f.name: getattr(self, f.name) for f in fields(SparsifyConfig)})
-        for f in fields(SparsifyConfig):
-            if f.name != "epsilon":
-                object.__setattr__(self, f.name, getattr(scfg, f.name))
-        object.__setattr__(self, "_sparsify_config", scfg)
+        object.__setattr__(self, "_given_epsilon", self.epsilon)
+        super().__post_init__()
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {tuple(_FAMILIES)}")
         if self.format not in _FORMATS:
@@ -129,15 +129,12 @@ class CampaignConfig:
         if self.family == "from_file" and not self.family_file:
             raise ValueError("from_file family needs family_file")
 
-    def sparsify_config(self) -> SparsifyConfig:
-        return self._sparsify_config
-
     def canonical_dict(self) -> dict:
-        """Stable JSON-ready form used for hashing and the manifest: every field but output_dir."""
-        return {
-            f.name: _canonical(getattr(self, f.name))
-            for f in fields(self) if f.name != "output_dir"
-        }
+        """Stable JSON-ready form used for hashing and the manifest: every field
+        but output_dir, with epsilon as given (None when derived)."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
+        values["epsilon"] = self._given_epsilon
+        return {name: _canonical(value) for name, value in values.items()}
 
     def sha256(self) -> str:
         blob = json.dumps(self.canonical_dict(), sort_keys=True).encode()
@@ -230,7 +227,6 @@ class DegreeSummary:
 @dataclass
 class CampaignSummary:
     config: CampaignConfig
-    epsilon: float
     degrees: list[DegreeSummary] = field(default_factory=list)
 
     @property
@@ -310,30 +306,30 @@ def record_from_trial(trial: SparsifyTrial) -> TrialRecord:
 
 def _trial_chunk(
     p: NewmanPolynomial,
-    scfg: SparsifyConfig,
+    config: SparsifyConfig,
     p_square_height: int,
     lo: int,
     hi: int,
 ) -> list[TrialRecord]:
     return [
-        record_from_trial(sample(p, scfg, t, p_square_height=p_square_height))
+        record_from_trial(sample(p, config, t, p_square_height=p_square_height))
         for t in range(lo, hi)
     ]
 
 
 def _run_degree(
     p: NewmanPolynomial,
-    scfg: SparsifyConfig,
+    config: SparsifyConfig,
     trials: int,
     p_square_height: int,
     workers: int,
 ) -> list[TrialRecord]:
     if workers == 1 or trials < 2 * workers:
-        return _trial_chunk(p, scfg, p_square_height, 0, trials)
+        return _trial_chunk(p, config, p_square_height, 0, trials)
     bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_trial_chunk, p, scfg, p_square_height, lo, hi)
+            pool.submit(_trial_chunk, p, config, p_square_height, lo, hi)
             for lo, hi in zip(bounds, bounds[1:]) if hi > lo
         ]
         # Chunks are consecutive index ranges, so this is trial order.
@@ -344,19 +340,16 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     """Run every ladder degree; reproducible from (config, seed)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    scfg = config.sparsify_config()
-    epsilon = float(scfg.epsilon)
-    summary = CampaignSummary(config=config, epsilon=epsilon)
+    summary = CampaignSummary(config=config)
     for degree in config.degree_ladder:
         p = _FAMILIES[config.family](config, degree)
         p_height = int(square(p).max())
-        alpha = alpha_of(p.degree, config.alpha_exponent)
-        records = tuple(_run_degree(p, scfg, config.trials_per_degree, p_height, workers))
+        records = tuple(_run_degree(p, config, config.trials_per_degree, p_height, workers))
         summary.degrees.append(DegreeSummary(
             degree=degree,
-            alpha=float(alpha),
-            epsilon=epsilon,
-            bound_E=bad_event_E_bound(degree, config.c0, epsilon, config.alpha_exponent),
+            alpha=float(alpha_of(p.degree, config.alpha_exponent)),
+            epsilon=config.epsilon,
+            bound_E=bad_event_E_bound(degree, config.c0, config.epsilon, config.alpha_exponent),
             records=records,
         ))
     return summary
@@ -447,7 +440,7 @@ def emit_results(summary: CampaignSummary) -> dict[str, str]:
         "version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
         "master_seed": summary.config.seed,
-        "epsilon": repr(summary.epsilon),
+        "epsilon": repr(summary.config.epsilon),
         "config": summary.config.canonical_dict(),
         "config_sha256": summary.config.sha256(),
         "summary_file": summary_name,

@@ -27,13 +27,16 @@ No arithmetic depends on it, and it does nothing off glibc.
 
 Coefficients are checked once, by the `NewmanPolynomial` constructor;
 polynomials derived from checked ones skip it via `_trusted`.
+
+`metrics(p)` is p's `RatioReport`: it is made from the term count, degree
+and square height alone and computes the exact ratios from them.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -160,6 +163,7 @@ class NewmanPolynomial:
 class RatioReport:
     """Per-polynomial bundle: term count, degree, square height, and exact ratios.
 
+    The ratios are computed from the three counts when the report is made:
     `ratio` is height / l1**2, `product` is ratio * degree, and
     `trivial_bound` is 1 / (2*degree + 1), the floor that `ratio` can never
     go below.
@@ -168,9 +172,15 @@ class RatioReport:
     l1: int
     degree: int
     height: int
-    ratio: Fraction
-    product: Fraction
-    trivial_bound: Fraction
+    ratio: Fraction = field(init=False)
+    product: Fraction = field(init=False)
+    trivial_bound: Fraction = field(init=False)
+
+    def __post_init__(self) -> None:
+        ratio = Fraction(self.height, self.l1 * self.l1)
+        object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "product", ratio * self.degree)
+        object.__setattr__(self, "trivial_bound", Fraction(1, 2 * self.degree + 1))
 
     def to_json_dict(self) -> dict:
         """Flat JSON form with numerator/denominator pairs for the rationals."""
@@ -355,21 +365,8 @@ def square_oracle(p: NewmanPolynomial) -> np.ndarray:
     return sq
 
 
-def ratio_report(l1: int, degree: int, height: int) -> RatioReport:
-    """Assemble a RatioReport from precomputed exact quantities."""
-    ratio = Fraction(height, l1 * l1)
-    return RatioReport(
-        l1=l1,
-        degree=degree,
-        height=height,
-        ratio=ratio,
-        product=ratio * degree,
-        trivial_bound=Fraction(1, 2 * degree + 1),
-    )
-
-
 def metrics(p: NewmanPolynomial, square_coeffs: np.ndarray | None = None) -> RatioReport:
     """Exact RatioReport for p; pass a precomputed square (any integer array
     of its coefficients) to avoid recomputing it."""
     sq = square(p) if square_coeffs is None else square_coeffs
-    return ratio_report(p.l1, p.degree, int(sq.max()))
+    return RatioReport(p.l1, p.degree, int(sq.max()))

@@ -362,39 +362,25 @@ def local_search(spec: SearchSpec) -> SearchResult:
 class HypothesisCheck:
     """Exact verdict on the density and scaled-ratio requirements."""
 
-    ok: bool
     density_ok: bool
     ratio_ok: bool
-    l1: int
-    degree: int
-    required_l1: Fraction  # c0 * degree
-    ratio: Fraction
-    ratio_budget: Fraction  # rho / degree
-    failed: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.density_ok and self.ratio_ok
+
+    @property
+    def failed(self) -> tuple[str, ...]:
+        """The names of the failed requirements, density first."""
+        return tuple(name for name, ok in (("density", self.density_ok),
+                                           ("ratio", self.ratio_ok)) if not ok)
 
 
 def verify_hypothesis(p: NewmanPolynomial, c0: Fraction, rho: Fraction) -> HypothesisCheck:
     """Check l1(p) >= c0*deg(p) and ratio(p) <= rho/deg(p), exactly."""
     if p.degree == 0:
         raise ValueError("degree 0 is degenerate for the scaled ratio")
-    c0 = Fraction(c0)
-    rho = Fraction(rho)
-    report = metrics(p)
-    required_l1 = c0 * p.degree
-    ratio_budget = rho / p.degree
-    density_ok = Fraction(p.l1) >= required_l1
-    ratio_ok = report.ratio <= ratio_budget
-    failed = tuple(
-        name for name, ok in (("density", density_ok), ("ratio", ratio_ok)) if not ok
-    )
     return HypothesisCheck(
-        ok=density_ok and ratio_ok,
-        density_ok=density_ok,
-        ratio_ok=ratio_ok,
-        l1=p.l1,
-        degree=p.degree,
-        required_l1=required_l1,
-        ratio=report.ratio,
-        ratio_budget=ratio_budget,
-        failed=failed,
+        density_ok=p.l1 >= Fraction(c0) * p.degree,
+        ratio_ok=metrics(p).ratio <= Fraction(rho) / p.degree,
     )

@@ -28,13 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import (
-    NewmanPolynomial,
-    RatioReport,
-    as_zero_one,
-    ratio_report,
-    square,
-)
+from .poly import NewmanPolynomial, RatioReport, as_zero_one, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -131,7 +125,7 @@ class SparsifyConfig:
         if self.epsilon is None:
             if self.rho is None or self.rho_prime is None:
                 raise ValueError("epsilon must be given explicitly or derived from (rho, rho_prime)")
-            object.__setattr__(self, "epsilon", choose_epsilon(self.rho, self.rho_prime).epsilon)
+            object.__setattr__(self, "epsilon", choose_epsilon(self.rho, self.rho_prime))
         epsilon = float(self.epsilon)
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -225,7 +219,6 @@ class CoefficientSplit:
     j = k/2, whose kept term is `diagonal`.
     """
 
-    k: int
     first: int
     second: int
     diagonal: int
@@ -241,14 +234,12 @@ class CaseLabel:
 
     Label `a`: both half-sum means are at most the threshold N**alpha_exponent
     (equal to 1/alpha); `c`: neither.  The halves mirror each other under
-    j <-> k-j, so their means are always equal and no coefficient has
-    exactly one small half.
+    j <-> k-j, so their means are always equal, `mean` is each of them, and
+    no coefficient has exactly one small half.
     """
 
-    k: int
     label: str
-    means: tuple[Fraction, Fraction]
-    threshold: Fraction
+    mean: Fraction
 
 
 @dataclass(frozen=True)
@@ -350,7 +341,7 @@ def split_coefficient(
     first = sum(kept[j] * kept[k - j] for j in lower)
     second = sum(kept[j] * kept[k - j] for j in upper)
     diagonal = 0 if k % 2 else kept[k // 2]
-    return CoefficientSplit(k=k, first=first, second=second, diagonal=diagonal)
+    return CoefficientSplit(first=first, second=second, diagonal=diagonal)
 
 
 def classify_case(p: NewmanPolynomial, alpha: Fraction, k: int) -> CaseLabel:
@@ -367,9 +358,7 @@ def classify_case(p: NewmanPolynomial, alpha: Fraction, k: int) -> CaseLabel:
         raise ValueError(f"k must lie in 0..{2 * N}")
     c = p.coefficients.tolist()
     mean = alpha * alpha * sum(c[j] * c[k - j] for j in _half_ranges(k, N)[0])
-    threshold = 1 / alpha
-    label = "a" if mean <= threshold else "c"
-    return CaseLabel(k=k, label=label, means=(mean, mean), threshold=threshold)
+    return CaseLabel(label="a" if mean <= 1 / alpha else "c", mean=mean)
 
 
 def case_a_exclusion_threshold(
@@ -452,7 +441,7 @@ def _thin(
     if kept.size:
         q = NewmanPolynomial._trusted((p.coefficients & bits)[: int(kept[-1]) + 1], kept)
         q_square = square(q)
-        report = ratio_report(q.l1, q.degree, int(q_square.max()))
+        report = RatioReport(q.l1, q.degree, int(q_square.max()))
         overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
     flags = BadEventFlags(
         E=kept.size < cutoffs.low_mass,

@@ -183,7 +183,7 @@ def _se(freq: float, trials: int) -> float:
 
 def test_criterion_06_bad_event_decay(campaign):
     rows = campaign.degrees
-    eps = campaign.epsilon
+    eps = campaign.config.epsilon
     detail = "; ".join(
         f"N=2^{int(math.log2(r.degree))}: freq_E={r.freq_E:.3f} "
         f"freq_Ek={r.freq_Ek:.3f} clean={r.freq_clean:.3f}"
@@ -205,7 +205,7 @@ def test_criterion_06_bad_event_decay(campaign):
 
 
 def test_criterion_07_theorem_implication_exact(campaign):
-    eps = Fraction(campaign.epsilon)
+    eps = Fraction(campaign.config.epsilon)
     amplification = (1 + eps) / (1 - eps) ** 2
     exceptions = 0
     clean_total = 0

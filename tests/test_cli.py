@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import newmanlab.cli
 import newmanlab.poly
 import newmanlab.sparsify
 from newmanlab.cli import main
@@ -97,6 +98,15 @@ class TestRatio:
         assert len(row) == len(header)
         assert dict(zip(header, row))["polynomial"] == "0,1"
 
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "2d0458dd76fedb8971b384872fc366026174f6d1f2590de3131323f2dd9e90d2"),
+        ("csv", "eb15bd75498ca04d0cd45da172f2bab6e947c96b104ba05aab3388b6461f1670"),
+    ])
+    def test_pinned_bytes(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "ratio", "--all-ones", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestChernoff:
     def test_epsilon_and_mean(self, capsys):
@@ -135,6 +145,20 @@ class TestChernoff:
         code, out, err = run(capsys, "chernoff", "--epsilon", "1", "--mean", "nan")
         assert code == 1 and out == ""
         assert err.startswith("newman: error:") and "mean" in err
+
+    # SHA-256 of the JSON, pinned so that the rho-pair choice, the tail bound
+    # and the low-mass bound keep every byte.
+    @pytest.mark.parametrize("argv, digest", [
+        (["--rho", "8/9", "--rho-prime", "0.95", "--n", "1024", "--c0", "1",
+          "--alpha-exponent", "1/10"],
+         "e7c5561b2a4dd378c8e86d019a079e72753c7da8fb3c6e94d84c7c5a2f991483"),
+        (["--rho", "5/6", "--rho-prime", "1", "--epsilon", "0.3", "--mean", "12"],
+         "1ce9ed7e008ed89c17073574a0cadc2a31af9c86282fdeee0435ffeb9369fcdf"),
+    ], ids=["rho-pair-low-mass", "rho-pair-given-epsilon-mean"])
+    def test_pinned_bytes(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "chernoff", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSparsify:
@@ -191,6 +215,17 @@ class TestSparsify:
         code, out, _ = run(capsys, "sparsify", "--all-ones", "16", "--epsilon", "0.3",
                            "--trials", "0")
         assert code == 0 and out == ",".join(TRIAL_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "e674d6cca972e2f89bc37913c93ae1496e3e5d69f7bba66791ffdd32ac91490f"),
+        ("json", "01ac84f7fdfbec8f12a714decbe4425004bf078c72b99ff8f825335cc5d4430c"),
+    ])
+    def test_pinned_bytes(self, capsys, fmt, digest):
+        code, out, _ = run(capsys, "sparsify", "--all-ones", "1024", "--rho", "8/9",
+                           "--rho-prime", "0.95", "--trials", "40", "--seed", "42",
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSearch:
@@ -363,6 +398,25 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "--config",
                            str(tmp_path / "nope.cfg"))
         assert code == 1
+
+
+class TestOutOfMemory:
+    # A size too large for memory must end in one error line, not a numpy
+    # traceback; the callee raises instead of allocating for real.
+    @pytest.mark.parametrize("callee, argv", [
+        ("metrics", ["ratio", "--all-ones", "3000000000"]),
+        ("square", ["sparsify", "--all-ones", "300000000", "--epsilon", "0.3", "--trials", "1"]),
+    ], ids=["ratio", "sparsify"])
+    def test_is_a_clean_error(self, capsys, monkeypatch, callee, argv):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(newmanlab.cli, callee, exhausted)
+        monkeypatch.setattr(newmanlab.poly.NewmanPolynomial, "all_ones",
+                            classmethod(lambda cls, degree: None))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "newman: error: out of memory: Unable to allocate 22.4 GiB for an array\n"
 
 
 class TestParser:

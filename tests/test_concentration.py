@@ -153,24 +153,24 @@ def bisect_epsilon(rho: Fraction, rho_prime: Fraction) -> float:
 
 class TestChooseEpsilon:
     def test_berenhaut_scale(self):
-        choice = choose_epsilon(Fraction(8, 9), Fraction(19, 20))
-        assert choice.epsilon == pytest.approx(bisect_epsilon(Fraction(8, 9), Fraction(19, 20)), abs=1e-9)
-        assert choice.epsilon == pytest.approx(0.02208, abs=1e-5)
+        eps = choose_epsilon(Fraction(8, 9), Fraction(19, 20))
+        assert eps == pytest.approx(bisect_epsilon(Fraction(8, 9), Fraction(19, 20)), abs=1e-9)
+        assert eps == pytest.approx(0.02208, abs=1e-5)
 
     def test_dubickas_scale(self):
-        choice = choose_epsilon(Fraction(5, 6), Fraction(1))
-        assert choice.epsilon == pytest.approx(bisect_epsilon(Fraction(5, 6), Fraction(1)), abs=1e-9)
-        assert choice.epsilon == pytest.approx(0.0601, abs=1e-4)
+        eps = choose_epsilon(Fraction(5, 6), Fraction(1))
+        assert eps == pytest.approx(bisect_epsilon(Fraction(5, 6), Fraction(1)), abs=1e-9)
+        assert eps == pytest.approx(0.0601, abs=1e-4)
 
     def test_substitution_holds_exactly_and_is_maximal(self):
         for rho, rho_prime in [(Fraction(8, 9), Fraction(19, 20)),
                                (Fraction(5, 6), Fraction(1)),
                                (Fraction(1, 2), Fraction(3, 4))]:
-            choice = choose_epsilon(rho, rho_prime)
-            fe = Fraction(choice.epsilon)
+            eps = choose_epsilon(rho, rho_prime)
+            fe = Fraction(eps)
             amp = (1 + fe) / (1 - fe) ** 2
             assert amp * rho <= rho_prime
-            bigger = Fraction(choice.epsilon * 1.01)
+            bigger = Fraction(eps * 1.01)
             amp_bigger = (1 + bigger) / (1 - bigger) ** 2
             assert amp_bigger * rho > rho_prime
 
@@ -195,7 +195,7 @@ class TestChooseEpsilon:
     def test_choice_always_valid(self, rho, rho_prime):
         if not rho < rho_prime:
             return
-        choice = choose_epsilon(rho, rho_prime)
-        assert 0 < choice.epsilon < 1
-        fe = Fraction(choice.epsilon)
+        eps = choose_epsilon(rho, rho_prime)
+        assert 0 < eps < 1
+        fe = Fraction(eps)
         assert (1 + fe) / (1 - fe) ** 2 * rho <= rho_prime

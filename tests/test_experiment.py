@@ -85,6 +85,34 @@ class TestConfig:
     def test_hash_is_pinned(self, tmp_path, overrides, digest):
         assert small_config(tmp_path, **overrides).sha256() == digest
 
+    def test_subclasses_the_thinning_config(self):
+        assert issubclass(CampaignConfig, SparsifyConfig)
+
+    @pytest.mark.parametrize("thinning", [
+        dict(rho=Fraction(8, 9), rho_prime=Fraction(19, 20), seed=20080613),
+        dict(epsilon=0.3, rho=None, rho_prime=None, seed=5),
+    ], ids=["rho-pair", "epsilon-given"])
+    def test_samples_like_the_equivalent_thinning_config(self, tmp_path, thinning):
+        cfg = small_config(tmp_path, **thinning)
+        twin = SparsifyConfig(**thinning)
+        assert cfg.epsilon == twin.epsilon
+        p = NewmanPolynomial.all_ones(64)
+        for t in range(8):
+            ours, theirs = sample(p, cfg, t), sample(p, twin, t)
+            assert ours == theirs
+            assert (ours.mask.bits == theirs.mask.bits).all()
+
+    def test_derived_epsilon_is_hashed_as_null(self, tmp_path):
+        cfg = small_config(tmp_path)
+        assert cfg.epsilon == SparsifyConfig(rho=Fraction(8, 9), rho_prime=Fraction(19, 20)).epsilon
+        assert isinstance(cfg.epsilon, float)
+        assert cfg.canonical_dict()["epsilon"] is None
+
+    def test_given_epsilon_round_trips(self, tmp_path):
+        cfg = small_config(tmp_path, epsilon=0.3, rho=None, rho_prime=None)
+        assert cfg.epsilon == 0.3
+        assert float(cfg.canonical_dict()["epsilon"]) == 0.3
+
     def test_parse_file_reads_back_every_field(self, tmp_path):
         cfg = CampaignConfig(
             family="from_file", degree_ladder=(8, 16), trials_per_degree=3,

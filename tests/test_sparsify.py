@@ -293,15 +293,15 @@ class TestClassify:
         p = NewmanPolynomial.all_ones(16)
         label = classify_case(p, alpha_of(16, Fraction(1, 10)), 0)
         assert label.label == "a"
-        assert label.means == (0, 0)
+        assert label.mean == 0
 
     def test_dense_center_is_c(self):
         p = NewmanPolynomial.all_ones(1024)
         alpha = alpha_of(1024, Fraction(1, 10))  # exactly 1/2
         label = classify_case(p, alpha, 1023)
         # 512 unit products per half, each mean 128, threshold 2.
-        assert label.threshold == Fraction(2)
-        assert label.means == (Fraction(128), Fraction(128))
+        assert 1 / alpha == Fraction(2)
+        assert label.mean == Fraction(128)
         assert label.label == "c"
 
     def test_sparse_is_a(self):
@@ -314,8 +314,12 @@ class TestClassify:
         p = NewmanPolynomial.all_ones(64)
         alpha = alpha_of(64, Fraction(1, 6))  # 64**(1/6) = 2, exact
         assert alpha == Fraction(1, 2)
-        label = classify_case(p, alpha, 64)
-        assert label.threshold == 2
+        # k = 16 has 8 unit products per half, mean 8/4 = 2 = 1/alpha: still a.
+        at = classify_case(p, alpha, 16)
+        assert at.mean == 1 / alpha and at.label == "a"
+        # k = 17 has 9, mean 9/4, just above the threshold: c.
+        above = classify_case(p, alpha, 17)
+        assert above.mean == Fraction(9, 4) and above.label == "c"
 
     @given(st.sets(st.integers(min_value=0, max_value=40), min_size=1))
     @settings(max_examples=50)
@@ -324,10 +328,11 @@ class TestClassify:
         # unit-product counts, hence their means, are always equal.
         p = NewmanPolynomial.from_support(sup)
         alpha = alpha_of(max(p.degree, 2), Fraction(1, 10))
+        mask = KeepMask(np.ones(p.degree + 1, dtype=np.uint8))
         for k in range(2 * p.degree + 1):
-            label = classify_case(p, alpha, k)
-            assert label.means[0] == label.means[1]
-            assert label.label in ("a", "c")
+            s = split_coefficient(p, mask, k)
+            assert s.first == s.second
+            assert classify_case(p, alpha, k).label in ("a", "c")
 
     @given(st.sets(st.integers(min_value=0, max_value=40), min_size=1))
     @settings(max_examples=50)
@@ -339,8 +344,9 @@ class TestClassify:
         mask = KeepMask(np.ones(p.degree + 1, dtype=np.uint8))
         for k in range(2 * p.degree + 1):
             s = split_coefficient(p, mask, k)
-            assert classify_case(p, alpha, k).means == (alpha * alpha * s.first,
-                                                        alpha * alpha * s.second)
+            mean = classify_case(p, alpha, k).mean
+            assert mean == alpha * alpha * s.first
+            assert mean == alpha * alpha * s.second
 
 
 class TestExclusionThreshold:
