@@ -20,14 +20,12 @@ from .concentration import (  # noqa: F401
 )
 from .sparsify import (  # noqa: F401
     BadEventFlags,
-    CaseLabel,
     CoefficientSplit,
     KeepMask,
     SparsifyConfig,
     SparsifyTrial,
     TrialRecord,
     alpha_of,
-    classify_case,
     detect_bad_events,
     expectation_oracle,
     expected_l1,

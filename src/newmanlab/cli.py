@@ -103,8 +103,8 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
     payload: dict = {}
     epsilon = args.epsilon
     if args.rho is not None or args.rho_prime is not None:
-        if args.rho is None or args.rho_prime is None:
-            raise ValueError("--rho and --rho-prime must be given together")
+        # A pair admits the epsilons that it admits for thinning, and no other.
+        epsilon = SparsifyConfig(epsilon=epsilon, rho=args.rho, rho_prime=args.rho_prime).epsilon
         chosen = choose_epsilon(args.rho, args.rho_prime)
         payload["choice"] = {
             "rho": str(args.rho),
@@ -112,8 +112,6 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
             "epsilon": chosen,
             "amplification": float(exact_amplification(chosen)),
         }
-        if epsilon is None:
-            epsilon = chosen
     if epsilon is not None:
         payload["epsilon"] = epsilon
         payload["c_epsilon"] = c_epsilon(epsilon)

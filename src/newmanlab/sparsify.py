@@ -38,7 +38,6 @@ __all__ = [
     "TrialRecord",
     "SparsifyTrial",
     "CoefficientSplit",
-    "CaseLabel",
     "ConclusionReport",
     "alpha_of",
     "sample",
@@ -47,8 +46,6 @@ __all__ = [
     "expected_square_coeff",
     "expectation_oracle",
     "split_coefficient",
-    "classify_case",
-    "case_a_exclusion_threshold",
     "theorem_conclusion_check",
 ]
 
@@ -98,8 +95,10 @@ def alpha_of(N: int, exponent: Fraction) -> Fraction:
 class SparsifyConfig:
     """Parameters of a thinning experiment.
 
-    `epsilon` may be omitted when `rho` and `rho_prime` are given, in which
-    case the largest admissible deviation parameter is chosen for them.
+    `rho` and `rho_prime` are given together or not at all, with
+    0 < rho < rho_prime <= 1.  `epsilon` may then be omitted, and the
+    largest admissible deviation parameter is chosen for the pair; a given
+    `epsilon` must not amplify rho beyond rho_prime.
     """
 
     alpha_exponent: Fraction = Fraction(1, 10)
@@ -112,9 +111,10 @@ class SparsifyConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha_exponent", Fraction(self.alpha_exponent))
         object.__setattr__(self, "c0", Fraction(self.c0))
+        if (self.rho is None) != (self.rho_prime is None):
+            raise ValueError("rho and rho_prime must be given together")
         if self.rho is not None:
             object.__setattr__(self, "rho", Fraction(self.rho))
-        if self.rho_prime is not None:
             object.__setattr__(self, "rho_prime", Fraction(self.rho_prime))
         if not 0 < self.alpha_exponent < 1:
             raise ValueError("alpha_exponent must lie in (0, 1)")
@@ -122,17 +122,19 @@ class SparsifyConfig:
             raise ValueError("c0 must lie in (0, 1]")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if self.rho is not None:
+            # choose_epsilon range-checks the pair, so a given epsilon gets it too.
+            chosen = choose_epsilon(self.rho, self.rho_prime)
+            if self.epsilon is None:
+                object.__setattr__(self, "epsilon", chosen)
         if self.epsilon is None:
-            if self.rho is None or self.rho_prime is None:
-                raise ValueError("epsilon must be given explicitly or derived from (rho, rho_prime)")
-            object.__setattr__(self, "epsilon", choose_epsilon(self.rho, self.rho_prime))
+            raise ValueError("epsilon must be given explicitly or derived from (rho, rho_prime)")
         epsilon = float(self.epsilon)
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         object.__setattr__(self, "epsilon", epsilon)
-        if self.rho is not None and self.rho_prime is not None:
-            if exact_amplification(epsilon) * self.rho > self.rho_prime:
-                raise ValueError("epsilon amplifies rho beyond rho_prime")
+        if self.rho is not None and exact_amplification(epsilon) * self.rho > self.rho_prime:
+            raise ValueError("epsilon amplifies rho beyond rho_prime")
 
 
 @dataclass(eq=False)
@@ -229,20 +231,6 @@ class CoefficientSplit:
 
 
 @dataclass(frozen=True)
-class CaseLabel:
-    """Which halves of a squared coefficient have small expectation.
-
-    Label `a`: both half-sum means are at most the threshold N**alpha_exponent
-    (equal to 1/alpha); `c`: neither.  The halves mirror each other under
-    j <-> k-j, so their means are always equal, `mean` is each of them, and
-    no coefficient has exactly one small half.
-    """
-
-    label: str
-    mean: Fraction
-
-
-@dataclass(frozen=True)
 class ConclusionReport:
     """Exact check of the amplified-product inequality on a clean trial."""
 
@@ -314,17 +302,6 @@ def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fract
     return means[:-1], means[-1]
 
 
-def _half_ranges(k: int, N: int) -> tuple[range, range]:
-    """The two halves of the j-range of coefficient k.
-
-    j runs over the indices where both j and k-j lie in 0..N.  Odd k splits
-    it after floor(k/2); even k leaves the diagonal j = k/2 out of both.
-    j <-> k-j maps each half onto the other.
-    """
-    half = k // 2
-    return range(max(0, k - N), half + k % 2), range(half + 1, min(k, N) + 1)
-
-
 def split_coefficient(
     p: NewmanPolynomial,
     mask: KeepMask,
@@ -337,69 +314,11 @@ def split_coefficient(
     if len(mask) != N + 1:
         raise ValueError("mask length must equal degree + 1")
     kept = (p.coefficients & mask.bits).tolist()
-    lower, upper = _half_ranges(k, N)
-    first = sum(kept[j] * kept[k - j] for j in lower)
-    second = sum(kept[j] * kept[k - j] for j in upper)
-    diagonal = 0 if k % 2 else kept[k // 2]
+    half = k // 2
+    first = sum(kept[j] * kept[k - j] for j in range(max(0, k - N), half + k % 2))
+    second = sum(kept[j] * kept[k - j] for j in range(half + 1, min(k, N) + 1))
+    diagonal = 0 if k % 2 else kept[half]
     return CoefficientSplit(first=first, second=second, diagonal=diagonal)
-
-
-def classify_case(p: NewmanPolynomial, alpha: Fraction, k: int) -> CaseLabel:
-    """Group the two halves of coefficient k by whether their mean is small.
-
-    The half-sum means are alpha**2 times the unit-product counts of each
-    half-range; the even diagonal term belongs to neither half.  The
-    grouping threshold is 1/alpha, i.e. N**alpha_exponent.  The product
-    c_j * c_{k-j} is symmetric and the halves mirror each other, so one
-    count serves both.
-    """
-    N = p.degree
-    if not 0 <= k <= 2 * N:
-        raise ValueError(f"k must lie in 0..{2 * N}")
-    c = p.coefficients.tolist()
-    mean = alpha * alpha * sum(c[j] * c[k - j] for j in _half_ranges(k, N)[0])
-    return CaseLabel(label="a" if mean <= 1 / alpha else "c", mean=mean)
-
-
-def case_a_exclusion_threshold(
-    c0: Fraction,
-    epsilon: float,
-    alpha_exponent: Fraction,
-    cap: int = 10 ** 12,
-) -> Optional[int]:
-    """Least N with 2*N**(3e) + 1 < (1+eps) * (c0**2/3) * N**(1-2e).
-
-    Beyond this scale a coefficient whose two half-sums both have small
-    mean can never overshoot the height budget: each half is then at most
-    N**(3e) while the budget grows like N**(1-2e) thanks to the height
-    floor c0**2*N**2/(2N+1) >= (c0**2/3)*N.  Returns None when no N up to
-    `cap` satisfies it (e.g. for alpha_exponent >= 1/5).
-    """
-    c0 = Fraction(c0)
-    if not 0 < c0 <= 1:
-        raise ValueError("c0 must lie in (0, 1]")
-    if not 0 < alpha_exponent < 1:
-        raise ValueError("alpha_exponent must lie in (0, 1)")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    e = float(alpha_exponent)
-    amplitude = (1.0 + epsilon) * float(c0) ** 2 / 3.0
-
-    def satisfied(n: int) -> bool:
-        return 2.0 * n ** (3.0 * e) + 1.0 < amplitude * n ** (1.0 - 2.0 * e)
-
-    lo, hi = 0, 1  # satisfied(lo) is False (or lo == 0)
-    while not satisfied(hi):
-        if hi >= cap:
-            return None
-        lo, hi = hi, min(2 * hi, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if satisfied(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 # ---------------------------------------------------------------------------

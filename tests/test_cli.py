@@ -136,6 +136,14 @@ class TestChernoff:
         code, _, err = run(capsys, "chernoff", "--rho", "1/2")
         assert code == 1
 
+    def test_epsilon_beyond_the_rho_pair_rejected(self, capsys):
+        # The same pair and epsilon that a thinning run refuses.
+        thinning = ["--rho", "5/6", "--rho-prime", "1", "--epsilon", "0.3"]
+        code, out, err = run(capsys, "chernoff", *thinning, "--mean", "12")
+        assert code == 1 and out == ""
+        assert err == "newman: error: epsilon amplifies rho beyond rho_prime\n"
+        assert run(capsys, "sparsify", "--all-ones", "16", *thinning) == (1, "", err)
+
     def test_infinite_epsilon_rejected(self, capsys):
         code, out, err = run(capsys, "chernoff", "--epsilon", "inf", "--mean", "10")
         assert code == 1 and out == ""
@@ -152,8 +160,8 @@ class TestChernoff:
         (["--rho", "8/9", "--rho-prime", "0.95", "--n", "1024", "--c0", "1",
           "--alpha-exponent", "1/10"],
          "e7c5561b2a4dd378c8e86d019a079e72753c7da8fb3c6e94d84c7c5a2f991483"),
-        (["--rho", "5/6", "--rho-prime", "1", "--epsilon", "0.3", "--mean", "12"],
-         "1ce9ed7e008ed89c17073574a0cadc2a31af9c86282fdeee0435ffeb9369fcdf"),
+        (["--rho", "5/6", "--rho-prime", "1", "--epsilon", "0.05", "--mean", "12"],
+         "f62ec01494078bc9ad41ee9f711c63b439d04524b437cb4bda6037e7cd70e56b"),
     ], ids=["rho-pair-low-mass", "rho-pair-given-epsilon-mean"])
     def test_pinned_bytes(self, capsys, argv, digest):
         code, out, _ = run(capsys, "chernoff", *argv)

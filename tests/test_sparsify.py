@@ -1,4 +1,4 @@
-"""Thinning trials: expectations, splits, case labels, bad events, determinism."""
+"""Thinning trials: expectations, splits, bad events, determinism."""
 
 import math
 from fractions import Fraction
@@ -16,8 +16,6 @@ from newmanlab.sparsify import (
     KeepMask,
     SparsifyConfig,
     alpha_of,
-    case_a_exclusion_threshold,
-    classify_case,
     detect_bad_events,
     expectation_oracle,
     expected_l1,
@@ -89,6 +87,15 @@ class TestConfig:
     def test_inconsistent_epsilon_rejected(self):
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, rho=RHO, rho_prime=RHO_PRIME)
+
+    @pytest.mark.parametrize("pair, message", [
+        ({"rho": RHO}, "rho and rho_prime must be given together"),
+        ({"rho_prime": RHO_PRIME}, "rho and rho_prime must be given together"),
+        ({"rho": 2, "rho_prime": 3}, "need 0 < rho < rho_prime <= 1"),
+    ], ids=["lone-rho", "lone-rho-prime", "pair-out-of-range"])
+    def test_rho_pair_checked_with_given_epsilon(self, pair, message):
+        with pytest.raises(ValueError, match=message):
+            SparsifyConfig(epsilon=0.1, **pair)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
@@ -269,7 +276,7 @@ class TestSplit:
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
-    def test_reconstruction_and_odd_symmetry(self, data):
+    def test_reconstruction_and_half_symmetry(self, data):
         sup = data.draw(st.sets(st.integers(min_value=0, max_value=50), min_size=1))
         p = NewmanPolynomial.from_support(sup)
         bits = data.draw(
@@ -284,106 +291,8 @@ class TestSplit:
                 assert s.total == q_sq[k]
             else:
                 assert s.total == 0
-            if k % 2 == 1:
-                assert s.first == s.second
-
-
-class TestClassify:
-    def test_k_zero_is_a(self):
-        p = NewmanPolynomial.all_ones(16)
-        label = classify_case(p, alpha_of(16, Fraction(1, 10)), 0)
-        assert label.label == "a"
-        assert label.mean == 0
-
-    def test_dense_center_is_c(self):
-        p = NewmanPolynomial.all_ones(1024)
-        alpha = alpha_of(1024, Fraction(1, 10))  # exactly 1/2
-        label = classify_case(p, alpha, 1023)
-        # 512 unit products per half, each mean 128, threshold 2.
-        assert 1 / alpha == Fraction(2)
-        assert label.mean == Fraction(128)
-        assert label.label == "c"
-
-    def test_sparse_is_a(self):
-        p = parse_polynomial("0,50")
-        alpha = alpha_of(50, Fraction(1, 10))
-        label = classify_case(p, alpha, 50)
-        assert label.label == "a"
-
-    def test_exact_threshold_is_inverse_alpha(self):
-        p = NewmanPolynomial.all_ones(64)
-        alpha = alpha_of(64, Fraction(1, 6))  # 64**(1/6) = 2, exact
-        assert alpha == Fraction(1, 2)
-        # k = 16 has 8 unit products per half, mean 8/4 = 2 = 1/alpha: still a.
-        at = classify_case(p, alpha, 16)
-        assert at.mean == 1 / alpha and at.label == "a"
-        # k = 17 has 9, mean 9/4, just above the threshold: c.
-        above = classify_case(p, alpha, 17)
-        assert above.mean == Fraction(9, 4) and above.label == "c"
-
-    @given(st.sets(st.integers(min_value=0, max_value=40), min_size=1))
-    @settings(max_examples=50)
-    def test_case_b_is_unreachable(self, sup):
-        # The two half-ranges mirror each other under j -> k - j, so their
-        # unit-product counts, hence their means, are always equal.
-        p = NewmanPolynomial.from_support(sup)
-        alpha = alpha_of(max(p.degree, 2), Fraction(1, 10))
-        mask = KeepMask(np.ones(p.degree + 1, dtype=np.uint8))
-        for k in range(2 * p.degree + 1):
-            s = split_coefficient(p, mask, k)
+            # j <-> k-j maps each half onto the other, at odd and even k.
             assert s.first == s.second
-            assert classify_case(p, alpha, k).label in ("a", "c")
-
-    @given(st.sets(st.integers(min_value=0, max_value=40), min_size=1))
-    @settings(max_examples=50)
-    def test_means_match_both_split_halves(self, sup):
-        # classify_case counts one half; split_coefficient sums each half on
-        # its own, so with every term kept both halves must match that count.
-        p = NewmanPolynomial.from_support(sup)
-        alpha = alpha_of(max(p.degree, 2), Fraction(1, 10))
-        mask = KeepMask(np.ones(p.degree + 1, dtype=np.uint8))
-        for k in range(2 * p.degree + 1):
-            s = split_coefficient(p, mask, k)
-            mean = classify_case(p, alpha, k).mean
-            assert mean == alpha * alpha * s.first
-            assert mean == alpha * alpha * s.second
-
-
-class TestExclusionThreshold:
-    def test_reference_point(self):
-        # Independent linear scan of the defining inequality.
-        eps, c0, e = 0.02, Fraction(1), Fraction(1, 10)
-        amplitude = (1 + eps) * 1.0 / 3.0
-
-        def ok(n):
-            return 2 * n ** 0.3 + 1 < amplitude * n ** 0.8
-
-        scan = next(n for n in range(1, 1000) if ok(n))
-        assert scan == 47
-        assert case_a_exclusion_threshold(c0, eps, e) == 47
-
-    def test_small_exponent_small_threshold(self):
-        tight = case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 100))
-        loose = case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 10))
-        assert tight < loose
-
-    def test_tiny_c0_hits_cap(self):
-        tiny = Fraction(1, 10 ** 6)
-        assert case_a_exclusion_threshold(tiny, 0.02, Fraction(1, 10), cap=10 ** 6) is None
-
-    def test_large_exponent_never_satisfied(self):
-        assert case_a_exclusion_threshold(Fraction(1), 0.5, Fraction(1, 4), cap=10 ** 9) is None
-
-    def test_cap_between_powers_of_two(self):
-        # 47 lies between 32 and 64: a cap of 50 finds it, a cap of 46 does not.
-        assert case_a_exclusion_threshold(Fraction(1), 0.02, Fraction(1, 10), cap=50) == 47
-        assert case_a_exclusion_threshold(Fraction(1), 0.02, Fraction(1, 10), cap=46) is None
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            case_a_exclusion_threshold(Fraction(0), 0.1, Fraction(1, 10))
-        with pytest.raises(ValueError):
-            case_a_exclusion_threshold(Fraction(1), 0.0, Fraction(1, 10))
 
 
 class TestBadEvents:
