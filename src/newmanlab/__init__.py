@@ -28,7 +28,6 @@ from .sparsify import (  # noqa: F401
     alpha_of,
     detect_bad_events,
     expectation_oracle,
-    expected_l1,
     expected_square_coeff,
     sample,
     split_coefficient,

@@ -155,11 +155,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         max_degree=args.max_degree,
         density_floor=args.floor,
         objective=args.objective,
-        mode=args.mode,
         seed=args.seed,
         iteration_budget=args.budget,
     )
-    result = exhaustive_search(spec) if spec.mode == "exhaustive" else local_search(spec)
+    result = exhaustive_search(spec) if args.mode == "exhaustive" else local_search(spec)
     payload = result.to_json_dict()
     if args.out is None:
         write_text(None, json_text(payload))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "TailBound",
@@ -96,6 +97,8 @@ def exact_amplification(epsilon: float) -> Fraction:
     return (1 + fe) / (1 - fe) ** 2
 
 
+# Cached: every config with a (rho, rho_prime) pair asks for it, often for the same pair.
+@lru_cache
 def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | float) -> float:
     """Pick the largest eps in (0, 1) with (1+eps)/(1-eps)**2 * rho <= rho_prime.
 

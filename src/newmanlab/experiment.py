@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .concentration import TailBound, bad_event_E_bound
+from .concentration import TailBound, bad_event_E_bound, choose_epsilon
 from .poly import NewmanPolynomial, parse_polynomial, square
 from .sparsify import (
     RNG_ALGORITHM,
@@ -99,10 +99,9 @@ class CampaignConfig(SparsifyConfig):
     """A thinning config plus the ladder it runs on and where it writes.
 
     The thinning parameters and their checks are `SparsifyConfig`'s, so a
-    campaign config is passed to `sample` as it is.  An epsilon derived
-    from (rho, rho_prime) is hashed and written to the manifest config as
-    null, as it was not given; `dataclasses.replace` would pass the derived
-    value back in and carry it as if it had been given.
+    campaign config is passed to `sample` as it is.  The epsilon is hashed
+    and written to the manifest config as null when (rho, rho_prime) gives
+    that very epsilon, whether it was derived or given.
     """
 
     family: str
@@ -114,7 +113,6 @@ class CampaignConfig(SparsifyConfig):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "degree_ladder", tuple(int(n) for n in self.degree_ladder))
-        object.__setattr__(self, "_given_epsilon", self.epsilon)
         super().__post_init__()
         if self.family not in _FAMILIES:
             raise ValueError(f"family must be one of {tuple(_FAMILIES)}")
@@ -131,9 +129,10 @@ class CampaignConfig(SparsifyConfig):
 
     def canonical_dict(self) -> dict:
         """Stable JSON-ready form used for hashing and the manifest: every field
-        but output_dir, with epsilon as given (None when derived)."""
+        but output_dir, with epsilon None when (rho, rho_prime) gives it."""
         values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
-        values["epsilon"] = self._given_epsilon
+        if self.rho is not None and self.epsilon == choose_epsilon(self.rho, self.rho_prime):
+            values["epsilon"] = None
         return {name: _canonical(value) for name, value in values.items()}
 
     def sha256(self) -> str:

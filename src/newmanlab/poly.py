@@ -130,15 +130,6 @@ class NewmanPolynomial:
         """Number of terms (the L1 norm of the coefficient sequence)."""
         return len(self._support)
 
-    def reversed(self) -> "NewmanPolynomial":
-        """The reciprocal polynomial x**degree * p(1/x).
-
-        Its degree is degree - min(support): reversing drops any low-order
-        zero run of p.  Term count and square height are preserved.
-        """
-        low = int(self._support[0])
-        return NewmanPolynomial(self._coeffs[::-1][: self.degree - low + 1])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NewmanPolynomial):
             return NotImplemented
@@ -239,13 +230,9 @@ def parse_polynomial(text: str, format: str = "exponent_list") -> NewmanPolynomi
     raise ValueError(f"unknown polynomial format {format!r}")
 
 
-def format_polynomial(p: NewmanPolynomial, format: str = "exponent_list") -> str:
-    """Render a polynomial; the canonical form is the ascending exponent list."""
-    if format == "exponent_list":
-        return ",".join(map(str, p.support.tolist()))
-    if format == "bitstring":
-        return "".join(map(str, p.coefficients.tolist()))
-    raise ValueError(f"unknown polynomial format {format!r}")
+def format_polynomial(p: NewmanPolynomial) -> str:
+    """Render a polynomial as its ascending exponent list."""
+    return ",".join(map(str, p.support.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -49,18 +49,16 @@ __all__ = [
 EXHAUSTIVE_DEGREE_CAP = 28
 
 _OBJECTIVES = ("min_product", "min_ratio")
-_MODES = ("exhaustive", "local_search")
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    """Degree range, density constraint, objective and mode of a search."""
+    """Degree range, density constraint and objective of a search."""
 
     min_degree: int
     max_degree: int
     density_floor: Fraction = Fraction(0)
     objective: str = "min_product"
-    mode: str = "exhaustive"
     seed: int = 0
     iteration_budget: int = 10_000
 
@@ -72,10 +70,6 @@ class SearchSpec:
             raise ValueError("min_degree must not exceed max_degree")
         if self.objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if self.mode == "exhaustive" and self.max_degree > EXHAUSTIVE_DEGREE_CAP:
-            raise ValueError(f"exhaustive mode is capped at degree {EXHAUSTIVE_DEGREE_CAP}")
         if not 0 <= self.density_floor <= 1:
             raise ValueError("density_floor must lie in [0, 1]")
         if not 0 <= self.seed < 2 ** 64:
@@ -223,8 +217,8 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
     of a 0/1 matrix that is filtered by boolean masks and squared at once;
     of equal minima the first in that order is kept.
     """
-    if spec.mode != "exhaustive":
-        raise ValueError("spec.mode must be 'exhaustive'")
+    if spec.max_degree > EXHAUSTIVE_DEGREE_CAP:
+        raise ValueError(f"exhaustive mode is capped at degree {EXHAUSTIVE_DEGREE_CAP}")
     meta = SearchMetadata(mode="exhaustive", seed=spec.seed)
     table: list[DegreeBest] = []
     for degree in range(spec.min_degree, spec.max_degree + 1):
@@ -301,8 +295,6 @@ def local_search(spec: SearchSpec) -> SearchResult:
     `_flip` in a spare buffer, and the buffers trade places when the move is
     accepted.
     """
-    if spec.mode != "local_search":
-        raise ValueError("spec.mode must be 'local_search'")
     meta = SearchMetadata(mode="local_search", seed=spec.seed)
     table: list[DegreeBest] = []
     restarts = 4
@@ -368,12 +360,6 @@ class HypothesisCheck:
     @property
     def ok(self) -> bool:
         return self.density_ok and self.ratio_ok
-
-    @property
-    def failed(self) -> tuple[str, ...]:
-        """The names of the failed requirements, density first."""
-        return tuple(name for name, ok in (("density", self.density_ok),
-                                           ("ratio", self.ratio_ok)) if not ok)
 
 
 def verify_hypothesis(p: NewmanPolynomial, c0: Fraction, rho: Fraction) -> HypothesisCheck:

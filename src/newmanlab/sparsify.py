@@ -42,7 +42,6 @@ __all__ = [
     "alpha_of",
     "sample",
     "detect_bad_events",
-    "expected_l1",
     "expected_square_coeff",
     "expectation_oracle",
     "split_coefficient",
@@ -214,11 +213,13 @@ class SparsifyTrial(TrialRecord):
 
 @dataclass(frozen=True)
 class CoefficientSplit:
-    """One squared coefficient split into independent-sum parts.
+    """One squared coefficient of q split into two halves and a diagonal.
 
-    Odd k: `first` covers j = max(0, k-N)..floor(k/2), `second` the
-    mirrored upper range, `diagonal` is 0.  Even k: the two halves exclude
-    j = k/2, whose kept term is `diagonal`.
+    Each half is a sum of independent products kept_j * kept_{k-j}: `first`
+    over max(0, k-N) <= j < k/2, `second` over k/2 < j <= min(k, N).  The
+    halves mirror each other (j <-> k-j), so they are equal for every mask;
+    they are summed separately so that a check can compare them.
+    `diagonal` is the kept term at j = k/2 for even k, and 0 for odd k.
     """
 
     first: int
@@ -239,11 +240,6 @@ class ConclusionReport:
     amplified_p_product: Fraction
     sparsity_reference: float  # (1-eps) * N**(1 - alpha_exponent)
     degree_floor: Fraction  # (c0/2) * N
-
-
-def expected_l1(p: NewmanPolynomial, alpha: Fraction) -> Fraction:
-    """Mean kept mass alpha * l1(p)."""
-    return alpha * p.l1
 
 
 def expected_square_coeff(

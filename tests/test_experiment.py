@@ -3,11 +3,12 @@
 import hashlib
 import json
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
+from newmanlab.concentration import choose_epsilon
 from newmanlab.experiment import (
     MEAN_PROXY_DEN,
     SUMMARY_COLUMNS,
@@ -107,6 +108,17 @@ class TestConfig:
         assert cfg.epsilon == SparsifyConfig(rho=Fraction(8, 9), rho_prime=Fraction(19, 20)).epsilon
         assert isinstance(cfg.epsilon, float)
         assert cfg.canonical_dict()["epsilon"] is None
+
+    @pytest.mark.parametrize("made, fresh", [
+        (lambda path: replace(small_config(path), seed=2), lambda path: small_config(path, seed=2)),
+        (lambda path: small_config(path, epsilon=choose_epsilon(Fraction(8, 9), Fraction(19, 20))),
+         small_config),
+    ], ids=["replaced-seed", "derived-epsilon-given"])
+    def test_equal_configs_have_equal_digests(self, tmp_path, made, fresh):
+        made, fresh = made(tmp_path), fresh(tmp_path)
+        assert made == fresh
+        assert made.canonical_dict() == fresh.canonical_dict()
+        assert made.sha256() == fresh.sha256()
 
     def test_given_epsilon_round_trips(self, tmp_path):
         cfg = small_config(tmp_path, epsilon=0.3, rho=None, rho_prime=None)

@@ -18,7 +18,6 @@ from newmanlab.sparsify import (
     alpha_of,
     detect_bad_events,
     expectation_oracle,
-    expected_l1,
     expected_square_coeff,
     sample,
     split_coefficient,
@@ -134,19 +133,6 @@ class TestKeepMask:
 
 
 class TestExpectations:
-    def test_expected_l1_linear(self):
-        p = parse_polynomial("111", "bitstring")
-        assert expected_l1(p, Fraction(1, 2)) == Fraction(3, 2)
-
-    def test_expected_l1_identity(self):
-        p = parse_polynomial("0,5,9")
-        assert expected_l1(p, Fraction(1)) == 3
-
-    def test_expected_l1_all_ones_1024(self):
-        p = NewmanPolynomial.all_ones(1024)
-        alpha = alpha_of(1024, Fraction(1, 10))
-        assert expected_l1(p, alpha) == Fraction(1025, 2)
-
     def test_odd_k_two_bits(self):
         p = parse_polynomial("11", "bitstring")
         value, theta = expected_square_coeff(p, Fraction(1, 2), 1)
