@@ -150,13 +150,15 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.mode == "exhaustive":
+        raise ValueError("--budget applies only to --mode local_search")
     spec = SearchSpec(
         min_degree=args.min_degree,
         max_degree=args.max_degree,
         density_floor=args.floor,
         objective=args.objective,
         seed=args.seed,
-        iteration_budget=args.budget,
+        iteration_budget=SearchSpec.iteration_budget if args.budget is None else args.budget,
     )
     result = exhaustive_search(spec) if args.mode == "exhaustive" else local_search(spec)
     payload = result.to_json_dict()
@@ -229,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default="min_product")
     p_se.add_argument("--floor", type=_fraction, default=Fraction(0),
                       help="density floor c0 (l1 >= c0 * degree)")
-    p_se.add_argument("--budget", type=int, default=10_000)
+    p_se.add_argument("--budget", type=int, default=None,
+                      help="annealing steps over 4 restarts (local_search only; "
+                           "default 10000)")
     p_se.set_defaults(func=_cmd_search)
 
     p_ex = sub.add_parser("experiment", help="run a campaign from a config file")

@@ -329,7 +329,7 @@ def _run_degree(
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_trial_chunk, p, config, p_square_height, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+            for lo, hi in zip(bounds, bounds[1:])
         ]
         # Chunks are consecutive index ranges, so this is trial order.
         return [record for future in futures for record in future.result()]

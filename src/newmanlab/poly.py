@@ -15,6 +15,8 @@ either guard trips.  Both strategies must agree
 bit-for-bit with `square_oracle`, a direct O(N**2) convolution sum kept as
 the reference.  A square is the strategy's own int64 array of the
 coefficients of x**0 .. x**(2*degree), made read-only and returned as is.
+Blocks of small polynomials, the columns of a uint8 matrix, are squared
+together by `_square_columns` (exhaustive search, `expectation_oracle`).
 
 The first `square()` in a process raises glibc's mmap and trim thresholds
 (`_keep_freed_memory`).  By default glibc maps each multi-MiB buffer (numpy's
@@ -316,6 +318,23 @@ def _keep_freed_memory() -> None:
     # stops glibc from moving the threshold by itself.
     mallopt(-3, 32 << 20)
     mallopt(-1, 256 << 20)
+
+
+def _square_columns(columns: np.ndarray) -> np.ndarray:
+    """Exact squares of the 0/1 columns of the uint8 matrix `columns`, one
+    column each, as uint8.
+
+    One shifted add of the whole matrix per coefficient:
+    (p**2)[j + k] += p[j] * p[k].  A coefficient of a column's square is at
+    most its term count, so the uint8 sums are exact for at most 255 rows.
+    """
+    n, count = columns.shape
+    sq = np.zeros((2 * n - 1, count), dtype=np.uint8)
+    term = np.empty_like(columns)
+    for j in range(n):
+        np.multiply(columns, columns[j], out=term)
+        sq[j:j + n] += term
+    return sq
 
 
 def square(p: NewmanPolynomial) -> np.ndarray:

@@ -7,13 +7,12 @@ polynomial and its reversal share every metric used here.  Beyond the
 exhaustive cap a seeded annealing walk over interior bit flips and swaps
 takes over.
 
-Both modes square exactly, with integer sums and no FFT, so nothing is
-left to certify.  The exhaustive mode takes interior patterns a block at a time as
-the columns of a 0/1 matrix, drops reversal duplicates and too-sparse
-candidates by boolean masks, and squares the block with one shifted add of
-the matrix per coefficient.  Local search squares each restart's start once
-by a direct convolution and then updates that square in O(N) per move:
-flipping coefficient i of p gives (p +- x**i)**2 = p**2 +- 2 x**i p +
+Both modes square through `poly`.  The exhaustive mode takes interior
+patterns a block at a time as the columns of a 0/1 matrix, drops reversal
+duplicates and too-sparse candidates by boolean masks, and squares the
+block with `poly._square_columns`.  Local search squares each restart's
+start once with `poly.square` and then updates that square in O(N) per
+move: flipping coefficient i of p gives (p +- x**i)**2 = p**2 +- 2 x**i p +
 x**(2i), and a swap is two flips.
 
 Both modes score a candidate in one place, `_Incumbent.score`, from its
@@ -31,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import NewmanPolynomial, RatioReport, format_polynomial, metrics
+from .poly import NewmanPolynomial, RatioReport, _square_columns, format_polynomial, metrics, square
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -191,22 +190,6 @@ def _result(table: list[DegreeBest], spec: SearchSpec, meta: SearchMetadata) -> 
 _BLOCK = 1 << 13
 
 
-def _square_columns(columns: np.ndarray) -> np.ndarray:
-    """Exact squares of the 0/1 columns of `columns`, one column each.
-
-    One shifted add of the whole matrix per coefficient:
-    (p**2)[j + k] += p[j] * p[k].  A coefficient of p**2 is at most
-    l1(p) <= EXHAUSTIVE_DEGREE_CAP + 1, so uint8 sums are exact.
-    """
-    n, count = columns.shape
-    sq = np.zeros((2 * n - 1, count), dtype=np.uint8)
-    term = np.empty_like(columns)
-    for j in range(n):
-        np.multiply(columns, columns[j], out=term)
-        sq[j:j + n] += term
-    return sq
-
-
 def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> SearchResult:
     """Exact minimum of the objective over canonical candidates in the range.
 
@@ -306,10 +289,8 @@ def local_search(spec: SearchSpec) -> SearchResult:
             rng = np.random.default_rng([spec.seed, degree, restart])
             coeffs = _random_start(rng, degree, spec.density_floor, incumbent.min_l1, restart)
             l1 = int(coeffs.sum())
-            # numpy convolves directly (never by FFT), and every partial sum
-            # is an integer at most l1 < 2**53, which float64 holds exactly.
-            wide = coeffs.astype(np.float64)
-            sq = np.convolve(wide, wide).astype(np.int64)
+            # square() returns a read-only array; _flip writes in place.
+            sq = square(NewmanPolynomial._trusted(coeffs.astype(np.uint8), np.flatnonzero(coeffs))).copy()
             spare = np.empty_like(sq)
             meta.candidates_examined += 1
             num, den = incumbent.score(int(sq.max()), l1, coeffs, sq, meta, global_iter)

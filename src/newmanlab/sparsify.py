@@ -11,10 +11,12 @@ height of p**2 (events E_k), and did its degree collapse below (c0/2)*N
 alpha is always an exact Fraction: 1/N**exponent itself when that is
 rational, otherwise the exact value of the float N**(-exponent) that the mask
 is drawn against.  All event thresholds are evaluated in exact rational
-arithmetic (a float epsilon is converted to the rational it represents),
-which keeps the flags consistent with the exact inequality chain checked by
-`theorem_conclusion_check`.  `expectation_oracle` checks the expectation
-formulas by enumerating every mask of a small p.
+arithmetic (a float epsilon is converted to the rational it represents)
+and cached per (p, config) in `_Cutoffs`.  `theorem_conclusion_check`
+reads the amplification (1+eps)/(1-eps)**2 from the same cutoffs, so its
+verdict on a clean trial follows from the flags by exact arithmetic.
+`expectation_oracle` checks the expectation formulas by enumerating every
+mask of a small p, squaring each block of them with `poly._square_columns`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, as_zero_one, square
+from .poly import NewmanPolynomial, RatioReport, _square_columns, as_zero_one, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -38,7 +40,6 @@ __all__ = [
     "TrialRecord",
     "SparsifyTrial",
     "CoefficientSplit",
-    "ConclusionReport",
     "alpha_of",
     "sample",
     "detect_bad_events",
@@ -56,11 +57,7 @@ _MASK_BLOCK = 1 << 14
 
 
 def _int_nth_root(x: int, n: int) -> int:
-    """Floor of the n-th root of a nonnegative integer."""
-    if x < 0 or n < 1:
-        raise ValueError("nth root needs x >= 0 and n >= 1")
-    if x < 2 or n == 1:
-        return x
+    """Floor of the n-th root of an integer x >= 1, for n >= 2."""
     if x.bit_length() <= n:  # x < 2**n
         return 1
     r = 1 << -(-x.bit_length() // n)  # upper seed
@@ -231,17 +228,6 @@ class CoefficientSplit:
         return self.first + self.second + self.diagonal
 
 
-@dataclass(frozen=True)
-class ConclusionReport:
-    """Exact check of the amplified-product inequality on a clean trial."""
-
-    holds: bool
-    amplification: Fraction
-    amplified_p_product: Fraction
-    sparsity_reference: float  # (1-eps) * N**(1 - alpha_exponent)
-    degree_floor: Fraction  # (c0/2) * N
-
-
 def expected_square_coeff(
     p: NewmanPolynomial,
     alpha: Fraction,
@@ -267,30 +253,28 @@ def expected_square_coeff(
 def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fraction], Fraction]:
     """Exact E[(q**2)_k] for k = 0..2N, and E[l1(q)], by enumerating every mask.
 
-    Each block of masks is the rows of a 0/1 matrix; every kept polynomial
-    is squared by summing its pair products, and the squares and masses
-    are totalled by mask weight w.  With alpha = a/b a mask of weight w has
-    probability a**w * (b-a)**(n-w) / b**n over n = N+1 positions, so each
-    mean is finished in integers.  Exponentially slow by design; capped at
+    Each block of masks is the columns of a 0/1 matrix; the kept
+    polynomials are squared together by `poly._square_columns`, and the
+    squares and masses are totalled by mask weight w.  With alpha = a/b a
+    mask of weight w has probability a**w * (b-a)**(n-w) / b**n over
+    n = N+1 positions, so each mean is finished in integers.  Exponentially slow by design; capped at
     degree 20.
     """
     if p.degree > _ENUMERATION_DEGREE_CAP:
         raise ValueError(f"mask enumeration capped at degree {_ENUMERATION_DEGREE_CAP}")
     n = p.degree + 1
     positions = np.arange(n)
-    # A mask's row holds its square and, last, its mass: each entry is at
-    # most n <= 21, so uint8.  totals[k, w] sums row entry k over the masks
-    # of weight w: at most 2**21 * 21 < 2**53, so float64 sums are exact.
+    # totals[k, w] sums (q**2)_k over the masks of weight w, and the last
+    # row sums their mass: at most 2**21 * 21 < 2**53, so float64 sums are
+    # exact.
     totals = np.zeros((2 * n, n + 1))
     for start in range(0, 1 << n, _MASK_BLOCK):
         masks = np.arange(start, min(start + _MASK_BLOCK, 1 << n))
-        bits = ((masks[:, None] >> positions) & 1).astype(np.uint8)
-        kept = bits & p.coefficients
-        rows = np.zeros((len(masks), 2 * n), dtype=np.uint8)
-        for i in p.support.tolist():
-            rows[:, i:i + n] += kept[:, i:i + 1] * kept
-        rows[:, -1] = kept.sum(axis=1)
-        totals += rows.T @ (bits.sum(axis=1)[:, None] == np.arange(n + 1)).astype(np.float64)
+        bits = ((masks >> positions[:, None]) & 1).astype(np.uint8)
+        kept = bits & p.coefficients[:, None]
+        by_weight = (bits.sum(axis=0)[:, None] == np.arange(n + 1)).astype(np.float64)
+        totals[:-1] += _square_columns(kept) @ by_weight
+        totals[-1] += kept.sum(axis=0) @ by_weight
     a, b = alpha.numerator, alpha.denominator
     odds = [a ** w * (b - a) ** (n - w) for w in range(n + 1)]
     means = [Fraction(sum(map(int.__mul__, row, odds)), b ** n)
@@ -328,6 +312,7 @@ class _Cutoffs(NamedTuple):
     low_mass: Fraction       # E: kept mass below this
     height: int              # E_k: squared coefficient above this
     degree: Fraction         # D: degree of q at most this
+    amplification: Fraction  # (1+eps)/(1-eps)**2: how far clean thinning lifts the product
 
 
 @lru_cache(maxsize=64)
@@ -340,6 +325,7 @@ def _cutoffs(degree: int, l1: int, p_square_height: int, config: SparsifyConfig)
         low_mass=(1 - fe) * alpha * l1,
         height=math.floor((1 + fe) * alpha * alpha * p_square_height),
         degree=Fraction(config.c0, 2) * degree,
+        amplification=exact_amplification(config.epsilon),
     )
 
 
@@ -409,27 +395,16 @@ def theorem_conclusion_check(
     p_report: RatioReport,
     trial: TrialRecord,
     config: SparsifyConfig,
-) -> ConclusionReport:
+) -> bool:
     """Exact amplified-product check for a clean trial.
 
     `p_report` is `metrics(p)` for the dense polynomial p that the trial
     thinned; compute it once and pass it for every trial of p.  Requires a
-    trial with a surviving polynomial and no bad events; verifies
+    trial with no bad events (an empty q is never clean); returns whether
     ratio(q)*deg(q) <= (1+eps)/(1-eps)**2 * ratio(p)*deg(p) in rational
-    arithmetic and gives the references for the mass and degree of q.
+    arithmetic.
     """
-    if trial.is_empty:
-        raise ValueError("trial produced the empty polynomial")
     if not trial.flags.clean:
         raise ValueError("trial has bad events; the conclusion check does not apply")
-    amplification = exact_amplification(config.epsilon)
-    amplified = amplification * p_report.product
-    N = p_report.degree
-    mass_scale = N ** float(1 - config.alpha_exponent)
-    return ConclusionReport(
-        holds=trial.q_metrics.product <= amplified,
-        amplification=amplification,
-        amplified_p_product=amplified,
-        sparsity_reference=float(1 - Fraction(config.epsilon)) * mass_scale,
-        degree_floor=Fraction(config.c0, 2) * N,
-    )
+    cutoffs = _cutoffs(p_report.degree, p_report.l1, p_report.height, config)
+    return trial.q_metrics.product <= cutoffs.amplification * p_report.product

@@ -271,6 +271,22 @@ class TestSearch:
         payload = json.loads(out)
         assert payload["metadata"]["mode"] == "local_search"
 
+    def test_budget_refused_in_exhaustive_mode(self, capsys):
+        code, out, err = run(capsys, "search", "--min-degree", "3", "--max-degree", "5",
+                             "--budget", "1")
+        assert code == 1 and out == ""
+        assert "--budget applies only to --mode local_search" in err
+
+    def test_local_mode_default_budget(self, capsys, monkeypatch):
+        specs = []
+        original = newmanlab.cli.local_search
+        monkeypatch.setattr(newmanlab.cli, "local_search",
+                            lambda spec: specs.append(spec) or original(spec))
+        code, _, _ = run(capsys, "search", "--min-degree", "6", "--max-degree", "6",
+                         "--mode", "local_search")
+        assert code == 0
+        assert specs[0].iteration_budget == 10_000
+
     def test_cap_error(self, capsys):
         code, _, err = run(capsys, "search", "--min-degree", "1",
                            "--max-degree", "29")

@@ -12,6 +12,7 @@ from newmanlab.concentration import (
     bad_event_E_bound,
     c_epsilon,
     choose_epsilon,
+    exact_amplification,
     tail_bound,
 )
 
@@ -149,6 +150,14 @@ def bisect_epsilon(rho: Fraction, rho_prime: Fraction) -> float:
         else:
             hi = mid
     return lo
+
+
+def test_exact_amplification():
+    # (1+eps)/(1-eps)**2 of the exact rational of the float eps.
+    assert exact_amplification(0.5) == (1 + Fraction(0.5)) / (1 - Fraction(0.5)) ** 2 == 6
+    fe = Fraction(0.1)  # not 1/10
+    assert exact_amplification(0.1) == (1 + fe) / (1 - fe) ** 2
+    assert exact_amplification(0.1) != Fraction(11, 10) / Fraction(9, 10) ** 2
 
 
 class TestChooseEpsilon:

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newmanlab.poly import NewmanPolynomial, metrics, square_oracle
+from newmanlab.poly import NewmanPolynomial, _square_columns, metrics, square_oracle
 from newmanlab.search import (
     SearchSpec,
     _flip,
-    _square_columns,
     exhaustive_search,
     local_search,
     verify_hypothesis,
@@ -143,6 +142,11 @@ class TestSquareKernels:
             for k, coeffs in enumerate(candidates):
                 expected = square_oracle(NewmanPolynomial(coeffs)).tolist()
                 assert squares[:, k].tolist() == expected
+        # The exhaustive cap's all-ones candidate: its centre, 29, is the
+        # largest coefficient the uint8 kernel meets in a search.
+        ones = _square_columns(np.ones((29, 1), dtype=np.uint8))[:, 0]
+        assert ones[28] == 29
+        assert ones.tolist() == square_oracle(NewmanPolynomial.all_ones(28)).tolist()
 
     @given(st.data())
     @settings(max_examples=80)

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import newmanlab.poly
 import newmanlab.sparsify
-from newmanlab.poly import NewmanPolynomial, metrics, parse_polynomial, square
+from newmanlab.poly import NewmanPolynomial, RatioReport, metrics, parse_polynomial, square
 from newmanlab.sparsify import (
     BadEventFlags,
     KeepMask,
     SparsifyConfig,
+    TrialRecord,
     alpha_of,
     detect_bad_events,
     expectation_oracle,
@@ -430,13 +431,17 @@ class TestConclusion:
 
     def test_clean_trial_satisfies_chain(self):
         p, cfg, trial = self._clean_trial()
-        report = theorem_conclusion_check(metrics(p), trial, cfg)
-        assert report.holds
-        assert trial.q_metrics.product <= report.amplified_p_product
-        assert report.amplification == (1 + Fraction(0.5)) / (1 - Fraction(0.5)) ** 2
-        assert report.amplified_p_product == report.amplification * metrics(p).product
-        assert trial.q_metrics.degree > report.degree_floor
-        assert report.sparsity_reference == pytest.approx(0.5 * 1024 ** 0.9)
+        assert theorem_conclusion_check(metrics(p), trial, cfg) is True
+        # (1 + 1/2) / (1 - 1/2)**2 = 6
+        assert trial.q_metrics.product <= 6 * metrics(p).product
+
+    def test_false_above_the_amplified_bound(self):
+        p = NewmanPolynomial.all_ones(1024)
+        cfg = SparsifyConfig(epsilon=0.5, seed=77)
+        # Flags marked clean by hand: product(q) = 2 * 1024 / 2**2 = 512 > 6 * product(p).
+        forged = TrialRecord(0, 0, RatioReport(l1=2, degree=1024, height=2),
+                             BadEventFlags(E=False, E_k_indices=(), D=False))
+        assert theorem_conclusion_check(metrics(p), forged, cfg) is False
 
     def test_does_not_square_p(self, monkeypatch):
         # p's report is computed once per polynomial, not once per trial.
@@ -448,9 +453,7 @@ class TestConclusion:
 
         monkeypatch.setattr(newmanlab.sparsify, "square", no_square)
         monkeypatch.setattr(newmanlab.poly, "square", no_square)
-        report = theorem_conclusion_check(p_report, trial, cfg)
-        assert report.holds
-        assert report.amplified_p_product == report.amplification * p_report.product
+        assert theorem_conclusion_check(p_report, trial, cfg) is True
 
     def test_rejects_bad_event_trial(self):
         p = NewmanPolynomial.all_ones(100)
