@@ -113,7 +113,9 @@ def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | floa
         raise ValueError("need 0 < rho < rho_prime <= 1")
     r = float(frho_prime / frho)
     eps = ((2.0 * r + 1.0) - math.sqrt(8.0 * r + 1.0)) / (2.0 * r)
-    # Largest float satisfying the exact inequality.
+    # Largest float satisfying the exact inequality.  The root rounds to 1.0
+    # once r reaches about 5e32, so start below 1.
+    eps = min(eps, math.nextafter(1.0, 0.0))
     while eps > 0 and exact_amplification(eps) * frho > frho_prime:
         eps = math.nextafter(eps, 0.0)
     if not 0.0 < eps < 1.0:

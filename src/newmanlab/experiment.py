@@ -340,8 +340,9 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     summary = CampaignSummary(config=config)
-    for degree in config.degree_ladder:
-        p = _FAMILIES[config.family](config, degree)
+    # Every rung's polynomial is built first, so a missing one fails before any trial.
+    polys = [_FAMILIES[config.family](config, degree) for degree in config.degree_ladder]
+    for degree, p in zip(config.degree_ladder, polys):
         p_height = int(square(p).max())
         records = tuple(_run_degree(p, config, config.trials_per_degree, p_height, workers))
         summary.degrees.append(DegreeSummary(

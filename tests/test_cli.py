@@ -144,6 +144,14 @@ class TestChernoff:
         assert err == "newman: error: epsilon amplifies rho beyond rho_prime\n"
         assert run(capsys, "sparsify", "--all-ones", "16", *thinning) == (1, "", err)
 
+    def test_extreme_rho_pair(self, capsys):
+        extreme = ["--rho", "1e-40", "--rho-prime", "1"]
+        code, out, _ = run(capsys, "chernoff", *extreme)
+        assert code == 0
+        assert 0 < json.loads(out)["epsilon"] < 1
+        code, _, _ = run(capsys, "sparsify", "--all-ones", "16", *extreme, "--trials", "1")
+        assert code == 0
+
     def test_infinite_epsilon_rejected(self, capsys):
         code, out, err = run(capsys, "chernoff", "--epsilon", "inf", "--mean", "10")
         assert code == 1 and out == ""

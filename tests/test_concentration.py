@@ -183,6 +183,13 @@ class TestChooseEpsilon:
             amp_bigger = (1 + bigger) / (1 - bigger) ** 2
             assert amp_bigger * rho > rho_prime
 
+    def test_extreme_pair_stays_below_one(self):
+        # rho'/rho = 1e40: the quadratic root rounds to 1.0 in floats.
+        rho = Fraction(1, 10 ** 40)
+        eps = choose_epsilon(rho, Fraction(1))
+        assert eps == math.nextafter(1.0, 0.0)
+        assert exact_amplification(eps) * rho <= 1
+
     def test_equal_rhos_rejected(self):
         with pytest.raises(ValueError):
             choose_epsilon(Fraction(8, 9), Fraction(8, 9))

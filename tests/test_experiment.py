@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from newmanlab import experiment
 from newmanlab.concentration import choose_epsilon
 from newmanlab.experiment import (
     MEAN_PROXY_DEN,
@@ -281,6 +282,18 @@ class TestRun:
         cfg = small_config(tmp_path, family="from_file",
                            family_file=str(family), degree_ladder=(8,))
         with pytest.raises(ValueError):
+            run_campaign(cfg)
+
+    def test_missing_degree_fails_before_any_trial(self, tmp_path, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "sample", no_trials)
+        family = tmp_path / "family.txt"
+        family.write_text("0,1,2,3,4,5,6,7,8\n")
+        cfg = small_config(tmp_path, family="from_file",
+                           family_file=str(family), degree_ladder=(8, 4096))
+        with pytest.raises(ValueError, match="no polynomial of degree 4096"):
             run_campaign(cfg)
 
     @pytest.mark.parametrize("workers", [0, -3])

@@ -1,7 +1,6 @@
 """Polynomial core: parsing, exact squaring, metrics."""
 
 import ctypes
-import math
 import pickle
 import platform
 from fractions import Fraction
@@ -21,7 +20,7 @@ from newmanlab.poly import (
     square_oracle,
 )
 from newmanlab import poly
-from newmanlab.poly import _FFT_GUARD, _fft_error_bound, _fft_length, _square_fft, _square_pairs
+from newmanlab.poly import _FFT_GUARD, _fft_error_bound, _fft_length
 
 supports = st.sets(st.integers(min_value=0, max_value=63), min_size=1, max_size=64)
 
@@ -206,58 +205,33 @@ class TestSquare:
         sq = square(sym).tolist()
         assert sq == sq[::-1]
 
-    def test_all_strategies_agree(self):
+    def test_fft_and_oracle_agree(self):
         rng = np.random.default_rng(11)
         for degree, density in [(80, 0.5), (300, 0.9), (1200, 0.02), (2200, 0.97)]:
             bits = (rng.random(degree + 1) < density).astype(np.uint8)
             bits[-1] = 1
             p = NewmanPolynomial(bits)
-            reference = square_oracle(p)
-            assert (_square_pairs(p.support, p.degree) == reference).all()
-            assert (_square_fft(p.coefficients, p.degree, p.l1) == reference).all()
-            assert (square(p) == reference).all()
+            assert (square(p) == square_oracle(p)).all()
 
-    @pytest.mark.parametrize("degree", [64, 1024, 4096])
-    def test_oracle_agrees_around_the_strategy_crossover(self, degree, monkeypatch):
-        fft_calls = []
-        real_fft = poly._square_fft
-
-        def counting_fft(*args):
-            fft_calls.append(args)
-            return real_fft(*args)
-
-        monkeypatch.setattr(poly, "_square_fft", counting_fft)
-        crossover = math.isqrt(poly._PAIR_COST * _fft_length(2 * degree + 1))
-        rng = np.random.default_rng(degree)
-        for l1 in (crossover - 1, crossover, crossover + 1):
-            inner = rng.choice(np.arange(1, degree), size=l1 - 2, replace=False)
-            p = NewmanPolynomial.from_support([0, degree, *inner.tolist()])
-            assert p.l1 == l1
-            assert np.array_equal(square(p), square_oracle(p))
-            assert len(fft_calls) == (l1 > crossover)
-
-    def test_sparse_high_degree_input_stays_on_pairs(self, monkeypatch):
-        def no_fft(*args):
-            raise AssertionError("_square_fft called")
-
-        monkeypatch.setattr(poly, "_square_fft", no_fft)
+    def test_sparse_high_degree_input_squares_exactly(self):
+        # 6_000_001 output values through the certified FFT.
         sq = square(NewmanPolynomial.from_support([0, 7, 3_000_000]))
         nonzero = np.flatnonzero(sq)
         assert nonzero.tolist() == [0, 7, 14, 3_000_000, 3_000_007, 6_000_000]
         assert sq[nonzero].tolist() == [1, 2, 1, 2, 2, 1]
 
-    @pytest.mark.parametrize("squaring, p, barred", [
-        ("pairs", NewmanPolynomial.from_support([0, 3, 4]), ["_square_fft"]),
-        ("fft", NewmanPolynomial.all_ones(300), ["_square_pairs"]),
-        ("oracle", NewmanPolynomial.all_ones(300), ["_square_pairs", "_square_fft"]),
-    ], ids=["pairs", "fft", "oracle"])
-    def test_square_is_a_read_only_int64_array(self, squaring, p, barred, monkeypatch):
-        def barred_strategy(*args):
-            raise AssertionError("a barred squaring strategy ran")
+    @pytest.mark.parametrize("squaring, p", [
+        (square, NewmanPolynomial.from_support([0, 3, 4])),
+        (square, NewmanPolynomial.all_ones(300)),
+        (square_oracle, NewmanPolynomial.all_ones(300)),
+    ], ids=["tiny", "fft", "oracle"])
+    def test_square_is_a_read_only_int64_array(self, squaring, p, monkeypatch):
+        def barred_fft(*args, **kwargs):
+            raise AssertionError("the oracle took an FFT")
 
-        for name in barred:
-            monkeypatch.setattr(poly, name, barred_strategy)
-        sq = square_oracle(p) if squaring == "oracle" else square(p)
+        if squaring is square_oracle:
+            monkeypatch.setattr(np.fft, "rfft", barred_fft)
+        sq = squaring(p)
         assert isinstance(sq, np.ndarray) and sq.dtype == np.int64
         assert sq.shape == (2 * p.degree + 1,)
         assert not sq.flags.writeable
