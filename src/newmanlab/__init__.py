@@ -26,7 +26,6 @@ from .sparsify import (  # noqa: F401
     SparsifyTrial,
     TrialRecord,
     alpha_of,
-    detect_bad_events,
     expectation_oracle,
     expected_square_coeff,
     sample,

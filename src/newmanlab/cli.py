@@ -156,7 +156,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         min_degree=args.min_degree,
         max_degree=args.max_degree,
         density_floor=args.floor,
-        objective=args.objective,
         seed=args.seed,
         iteration_budget=SearchSpec.iteration_budget if args.budget is None else args.budget,
     )
@@ -227,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--min-degree", type=int, required=True)
     p_se.add_argument("--max-degree", type=int, required=True)
     p_se.add_argument("--mode", choices=("exhaustive", "local_search"), default="exhaustive")
-    p_se.add_argument("--objective", choices=("min_product", "min_ratio"),
-                      default="min_product")
     p_se.add_argument("--floor", type=_fraction, default=Fraction(0),
                       help="density floor c0 (l1 >= c0 * degree)")
     p_se.add_argument("--budget", type=int, default=None,
@@ -257,7 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"newman: error: {exc}\n")
         return 1
     except MemoryError as exc:
-        sys.stderr.write(f"newman: error: out of memory: {exc}\n")
+        # pocketfft raises a bare MemoryError(); name the subcommand instead.
+        where = f": {exc}" if str(exc) else f" in {args.command}"
+        sys.stderr.write(f"newman: error: out of memory{where}\n")
         return 1
 
 

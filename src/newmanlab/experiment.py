@@ -228,11 +228,6 @@ class CampaignSummary:
     config: CampaignConfig
     degrees: list[DegreeSummary] = field(default_factory=list)
 
-    @property
-    def trials(self) -> dict[int, tuple[TrialRecord, ...]]:
-        """Each rung's trial records, by degree."""
-        return {row.degree: row.records for row in self.degrees}
-
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())

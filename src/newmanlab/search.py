@@ -1,7 +1,7 @@
 """Extremal search for dense 0/1 polynomials with small ratio * degree.
 
 Candidates are canonicalized to have constant term and leading term both 1
-(shifts by powers of x never help the objective at a fixed degree), and the
+(shifts by powers of x never help the product at a fixed degree), and the
 exhaustive mode additionally halves the space using the fact that a
 polynomial and its reversal share every metric used here.  Beyond the
 exhaustive cap a seeded annealing walk over interior bit flips and swaps
@@ -47,17 +47,13 @@ __all__ = [
 
 EXHAUSTIVE_DEGREE_CAP = 28
 
-_OBJECTIVES = ("min_product", "min_ratio")
-
-
 @dataclass(frozen=True)
 class SearchSpec:
-    """Degree range, density constraint and objective of a search."""
+    """Degree range and density constraint of a search; it minimizes the product."""
 
     min_degree: int
     max_degree: int
     density_floor: Fraction = Fraction(0)
-    objective: str = "min_product"
     seed: int = 0
     iteration_budget: int = 10_000
 
@@ -67,8 +63,6 @@ class SearchSpec:
             raise ValueError("min_degree must be at least 1 (degree 0 is degenerate)")
         if self.min_degree > self.max_degree:
             raise ValueError("min_degree must not exceed max_degree")
-        if self.objective not in _OBJECTIVES:
-            raise ValueError(f"objective must be one of {_OBJECTIVES}")
         if not 0 <= self.density_floor <= 1:
             raise ValueError("density_floor must lie in [0, 1]")
         if not 0 <= self.seed < 2 ** 64:
@@ -138,10 +132,6 @@ class SearchResult:
         }
 
 
-def _objective_value(report: RatioReport, objective: str) -> Fraction:
-    return report.product if objective == "min_product" else report.ratio
-
-
 class _Incumbent:
     """Best candidate so far at one degree: the one place that scores candidates."""
 
@@ -149,7 +139,6 @@ class _Incumbent:
         self.degree = degree
         # l1 >= floor * degree, as an integer: l1 >= min_l1.
         self.min_l1 = ceil(spec.density_floor * degree)
-        self._weight = degree if spec.objective == "min_product" else 1
         self.best: Optional[DegreeBest] = None
         self._num = self._den = 0  # the incumbent's value, num / den
 
@@ -157,8 +146,8 @@ class _Incumbent:
         self, height: int, l1: int, coeffs: np.ndarray, sq: np.ndarray,
         meta: SearchMetadata, step: Optional[int] = None,
     ) -> tuple[int, int]:
-        """Exact objective value of a candidate with square height `height` and
-        `l1` terms, as a numerator and a positive denominator.
+        """Exact product of a candidate with square height `height` and `l1`
+        terms, as a numerator and a positive denominator.
 
         A strict improvement becomes the incumbent: only then are its 0/1
         `coeffs` copied into a polynomial and its `RatioReport` read from
@@ -166,7 +155,7 @@ class _Incumbent:
         local search's int64 buffer, never copied), and the value recorded
         in the trajectory at `step` when one is given.
         """
-        num, den = height * self._weight, l1 * l1
+        num, den = height * self.degree, l1 * l1
         if self.best is None or num * self._den < self._num * den:
             self._num, self._den = num, den
             candidate = NewmanPolynomial._trusted(coeffs.astype(np.uint8), np.flatnonzero(coeffs))
@@ -177,11 +166,11 @@ class _Incumbent:
         return num, den
 
 
-def _result(table: list[DegreeBest], spec: SearchSpec, meta: SearchMetadata) -> SearchResult:
+def _result(table: list[DegreeBest], meta: SearchMetadata) -> SearchResult:
     if not table:
         raise ValueError("no candidate satisfies the density floor in the degree range")
     # min keeps the first of equal minima: the lowest such degree.
-    best = min(table, key=lambda row: _objective_value(row.report, spec.objective))
+    best = min(table, key=lambda row: row.report.product)
     return SearchResult(best=best.polynomial, report=best.report, degree_table=table, metadata=meta)
 
 
@@ -191,7 +180,7 @@ _BLOCK = 1 << 13
 
 
 def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> SearchResult:
-    """Exact minimum of the objective over canonical candidates in the range.
+    """Exact minimum of the product over canonical candidates in the range.
 
     Candidates have constant and leading coefficient 1; with the symmetry
     reduction on, an interior pattern is skipped whenever its reversal has a
@@ -235,7 +224,7 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
             incumbent.score(int(heights[best]), int(l1[best]), columns[:, best], sq[:, best], meta)
         if incumbent.best is not None:  # else the floor filtered this degree out
             table.append(incumbent.best)
-    return _result(table, spec, meta)
+    return _result(table, meta)
 
 
 def _random_start(
@@ -328,7 +317,7 @@ def local_search(spec: SearchSpec) -> SearchResult:
                     for i in moved:
                         coeffs[i] ^= 1  # undo the move
         table.append(incumbent.best)  # the dense start is always feasible
-    return _result(table, spec, meta)
+    return _result(table, meta)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "CoefficientSplit",
     "alpha_of",
     "sample",
-    "detect_bad_events",
     "expected_square_coeff",
     "expectation_oracle",
     "split_coefficient",
@@ -133,28 +132,11 @@ class SparsifyConfig:
             raise ValueError("epsilon amplifies rho beyond rho_prime")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KeepMask:
-    """Realized keep/drop bits, one per coefficient index 0..N."""
+    """The read-only uint8 keep/drop bits that `sample` drew, one per index 0..N."""
 
     bits: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._adopt(as_zero_one(self.bits, "mask bits"))
-
-    @classmethod
-    def _trusted(cls, bits: np.ndarray) -> "KeepMask":
-        """Wrap uint8 0/1 `bits` unchecked; they are frozen, not copied."""
-        mask = object.__new__(cls)
-        mask._adopt(bits)
-        return mask
-
-    def _adopt(self, bits: np.ndarray) -> None:
-        bits.setflags(write=False)
-        self.bits = bits
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -284,16 +266,18 @@ def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fract
 
 def split_coefficient(
     p: NewmanPolynomial,
-    mask: KeepMask,
+    bits: Sequence[int] | np.ndarray,
     k: int,
 ) -> CoefficientSplit:
-    """Split the realized k-th squared coefficient into its independent parts."""
+    """Split the k-th squared coefficient of p thinned by the 0/1 keep `bits`
+    (one per index 0..N) into its independent parts."""
     N = p.degree
     if not 0 <= k <= 2 * N:
         raise ValueError(f"k must lie in 0..{2 * N}")
-    if len(mask) != N + 1:
+    bits = as_zero_one(bits, "mask bits")
+    if len(bits) != N + 1:
         raise ValueError("mask length must equal degree + 1")
-    kept = (p.coefficients & mask.bits).tolist()
+    kept = (p.coefficients & bits).tolist()
     half = k // 2
     first = sum(kept[j] * kept[k - j] for j in range(max(0, k - N), half + k % 2))
     second = sum(kept[j] * kept[k - j] for j in range(half + 1, min(k, N) + 1))
@@ -334,13 +318,14 @@ def _thin(
 ) -> tuple[Optional[RatioReport], BadEventFlags]:
     """Keep the coefficients of p where bits is 1: (q report, flags).
 
-    q is built from arrays derived from the already-checked p and bits, so
-    it is not checked again.  An empty q has no report.
+    p and the bits that `sample` drew are 0/1 already, so q, built from
+    them, is not checked again.  An empty q has no report.
     """
-    kept = p.support[bits[p.support] == 1]
+    q_coeffs = p.coefficients & bits
+    kept = np.flatnonzero(q_coeffs)
     report, overs = None, ()
     if kept.size:
-        q = NewmanPolynomial._trusted((p.coefficients & bits)[: int(kept[-1]) + 1], kept)
+        q = NewmanPolynomial._trusted(q_coeffs[: int(kept[-1]) + 1], kept)
         q_square = square(q)
         report = RatioReport(q.l1, q.degree, int(q_square.max()))
         overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
@@ -373,22 +358,11 @@ def sample(
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    mask = KeepMask._trusted((rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8))
-    q_metrics, flags = _thin(p, mask.bits, cutoffs)
+    bits = (rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8)
+    bits.setflags(write=False)
+    q_metrics, flags = _thin(p, bits, cutoffs)
     return SparsifyTrial(trial_index=trial_index, trial_seed=trial_seed,
-                         q_metrics=q_metrics, flags=flags, mask=mask)
-
-
-def detect_bad_events(
-    p: NewmanPolynomial,
-    mask: KeepMask,
-    config: SparsifyConfig,
-) -> BadEventFlags:
-    """Compute the flags of thinning p by mask (exact, side-effect free)."""
-    if len(mask) != p.degree + 1:
-        raise ValueError("mask length does not match polynomial degree")
-    cutoffs = _cutoffs(p.degree, p.l1, int(square(p).max()), config)
-    return _thin(p, mask.bits, cutoffs)[1]
+                         q_metrics=q_metrics, flags=flags, mask=KeepMask(bits))
 
 
 def theorem_conclusion_check(

@@ -23,7 +23,6 @@ from newmanlab.poly import (
 )
 from newmanlab.search import SearchSpec, exhaustive_search
 from newmanlab.sparsify import (
-    KeepMask,
     expectation_oracle,
     expected_square_coeff,
     split_coefficient,
@@ -70,7 +69,8 @@ def campaign(tmp_path_factory):
         output_dir=str(tmp_path_factory.mktemp("campaign")),
         format="csv",
     )
-    return run_campaign(config, workers=1)
+    # Records do not depend on the worker count (tests/test_experiment.py).
+    return run_campaign(config, workers=2)
 
 
 def test_criterion_01_trivial_bound_exhaustive():
@@ -138,10 +138,10 @@ def test_criterion_04_split_reconstruction_and_symmetry():
         bits = (rng.random(degree + 1) < 0.5).astype(np.uint8)
         bits[-1] = 1
         p = NewmanPolynomial(bits)
-        mask = KeepMask((rng.random(degree + 1) < 0.5).astype(np.uint8))
-        kept = p.support[mask.bits[p.support] == 1]
+        mask = (rng.random(degree + 1) < 0.5).astype(np.uint8)
+        kept = p.support[mask[p.support] == 1]
         if kept.size:
-            q = NewmanPolynomial((p.coefficients & mask.bits)[: int(kept[-1]) + 1])
+            q = NewmanPolynomial((p.coefficients & mask)[: int(kept[-1]) + 1])
             q_sq = square(q)
         else:
             q_sq = None
@@ -209,10 +209,10 @@ def test_criterion_07_theorem_implication_exact(campaign):
     amplification = (1 + eps) / (1 - eps) ** 2
     exceptions = 0
     clean_total = 0
-    for degree in LADDER:
-        p_product = metrics(NewmanPolynomial.all_ones(degree)).product
+    for row in campaign.degrees:
+        p_product = metrics(NewmanPolynomial.all_ones(row.degree)).product
         budget = amplification * p_product
-        for record in campaign.trials[degree]:
+        for record in row.records:
             if not record.flags.clean or record.is_empty:
                 continue
             clean_total += 1
@@ -226,9 +226,8 @@ def test_criterion_07_theorem_implication_exact(campaign):
 def test_criterion_08_sparsity_trend_over_clean_trials(campaign):
     means = []
     counts = []
-    for degree in LADDER:
-        clean = [r.q_metrics for r in campaign.trials[degree]
-                 if r.flags.clean and not r.is_empty]
+    for row in campaign.degrees:
+        clean = [r.q_metrics for r in row.records if r.flags.clean and not r.is_empty]
         counts.append(len(clean))
         if clean:
             means.append(float(np.mean([q.l1 / q.degree for q in clean])))
@@ -254,8 +253,8 @@ def test_module_invariant_sparsity_trend_all_trials(campaign):
     # every surviving trial (no clean-trial conditioning) falls along the
     # ladder, witnessing that thinned mass grows slower than the degree.
     means = []
-    for degree in LADDER:
-        surviving = [r.q_metrics for r in campaign.trials[degree] if not r.is_empty]
+    for row in campaign.degrees:
+        surviving = [r.q_metrics for r in row.records if not r.is_empty]
         means.append(float(np.mean([q.l1 / q.degree for q in surviving])))
     ok = means[0] > means[1] > means[2]
     line = (f"[INVARIANT] sparsity trend over all surviving trials: "

@@ -229,7 +229,7 @@ class TestRun:
             assert row.trials == 25
             for freq in (row.freq_E, row.freq_Ek, row.freq_D, row.freq_clean):
                 assert 0.0 <= freq <= 1.0
-            records = summary.trials[row.degree]
+            records = row.records
             assert len(records) == 25
             assert row.freq_E == sum(r.flags.E for r in records) / 25
             assert row.freq_clean == sum(r.flags.clean for r in records) / 25
@@ -239,7 +239,7 @@ class TestRun:
         cfg = small_config(tmp_path)
         summary = run_campaign(cfg)
         for row in summary.degrees:
-            records = summary.trials[row.degree]
+            records = row.records
             succ = [r.q_metrics for r in records if not r.is_empty]
             mean_product = sum((q.product for q in succ), Fraction(0)) / len(succ)
             deg_mean = Fraction(sum(q.degree for q in succ), len(succ))
@@ -260,12 +260,12 @@ class TestRun:
     def test_trial_records_are_deterministic(self, tmp_path):
         a = run_campaign(small_config(tmp_path))
         b = run_campaign(small_config(tmp_path))
-        assert a.trials == b.trials
+        assert a.degrees == b.degrees
 
     def test_worker_count_does_not_change_records(self, tmp_path):
         serial = run_campaign(small_config(tmp_path), workers=1)
         parallel = run_campaign(small_config(tmp_path), workers=3)
-        assert serial.trials == parallel.trials
+        assert serial.degrees == parallel.degrees
 
     def test_from_file_family(self, tmp_path):
         family = tmp_path / "family.txt"

@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import newmanlab
@@ -41,5 +42,10 @@ def test_benchmark_trace_points_resolve():
     assert bindings
     for owner, attr, _, _ in bindings:
         assert callable(getattr(owner, attr, None)), (owner, attr)
-    # The benchmark's correctness gate passes a precomputed square height.
+    # The benchmark's correctness gate passes a precomputed square height
+    # and reads the trial's mask bits.
     inspect.signature(newmanlab.sample).bind(None, None, 0, p_square_height=1)
+    p = newmanlab.NewmanPolynomial.all_ones(16)
+    bits = newmanlab.sample(p, newmanlab.SparsifyConfig(epsilon=0.3), 0,
+                            p_square_height=17).mask.bits
+    assert bits.dtype == np.uint8 and bits.shape == (17,) and not bits.flags.writeable

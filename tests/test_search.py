@@ -118,20 +118,6 @@ class TestExhaustive:
             exhaustive_search(SearchSpec(1, 29))  # exhaustive cap
         with pytest.raises(ValueError):
             SearchSpec(1, 5, density_floor=Fraction(3, 2))
-        with pytest.raises(ValueError):
-            SearchSpec(1, 5, objective="max_product")
-
-    def test_min_ratio_objective(self):
-        res = exhaustive_search(SearchSpec(1, 6, objective="min_ratio"))
-        # naive enumerator for the ratio objective at degree 6
-        best = None
-        for interior in range(1 << 5):
-            coeffs = [1] + [(interior >> j) & 1 for j in range(5)] + [1]
-            p = NewmanPolynomial(coeffs)
-            ratio = metrics(p, square_coeffs=square_oracle(p)).ratio
-            best = ratio if best is None else min(best, ratio)
-        assert res.report.ratio == best
-        assert res.report.ratio <= Fraction(1, 7)  # all-ones witness
 
 
 class TestSquareKernels:

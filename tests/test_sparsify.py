@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 
 import newmanlab.poly
 import newmanlab.sparsify
-from newmanlab.poly import NewmanPolynomial, RatioReport, metrics, parse_polynomial, square
+from newmanlab.poly import (
+    NewmanPolynomial,
+    RatioReport,
+    metrics,
+    parse_polynomial,
+    square,
+    square_oracle,
+)
 from newmanlab.sparsify import (
     BadEventFlags,
     KeepMask,
     SparsifyConfig,
     TrialRecord,
     alpha_of,
-    detect_bad_events,
     expectation_oracle,
     expected_square_coeff,
     sample,
@@ -29,8 +35,8 @@ RHO = Fraction(8, 9)
 RHO_PRIME = Fraction(19, 20)
 
 
-def masked_polynomial(p, mask):
-    kept = [int(j) for j in p.support if mask.bits[j]]
+def masked_polynomial(p, bits):
+    kept = [int(j) for j in p.support if bits[j]]
     return NewmanPolynomial.from_support(kept) if kept else None
 
 
@@ -111,6 +117,8 @@ class TestConfig:
 
 
 class TestKeepMask:
+    """Keep bits given by a user: `split_coefficient` checks them at entry."""
+
     @pytest.mark.parametrize("bad", [
         np.array([256, 1]),  # wraps to [0, 1] under a uint8 cast
         [0.5, 1.0],          # truncates to [0, 1] under an integer cast
@@ -120,17 +128,16 @@ class TestKeepMask:
         [[0, 1]],
     ])
     def test_rejects_non_bits(self, bad):
-        with pytest.raises(ValueError):
-            KeepMask(bad)
+        with pytest.raises(ValueError, match="mask bits must"):
+            split_coefficient(parse_polynomial("11", "bitstring"), bad, 1)
 
     def test_accepts_ints_and_bools(self):
-        assert np.array_equal(KeepMask([1, 0, 1]).bits, KeepMask([True, False, True]).bits)
-        assert KeepMask([1, 0]).bits.dtype == np.uint8
-
-    def test_bits_are_read_only(self):
-        mask = KeepMask(np.array([1, 0], dtype=np.uint8))
-        with pytest.raises(ValueError):
-            mask.bits[0] = 0
+        p = parse_polynomial("111", "bitstring")
+        for k in range(5):
+            assert (split_coefficient(p, [1, 0, 1], k)
+                    == split_coefficient(p, [True, False, True], k)
+                    == split_coefficient(p, np.array([1, 0, 1], dtype=np.uint8), k))
+        assert split_coefficient(p, [1, 0, 1], 2).total == 2
 
 
 class TestExpectations:
@@ -242,24 +249,21 @@ class TestExpectations:
 class TestSplit:
     def test_hand_convolution_1111(self):
         p = parse_polynomial("1111", "bitstring")
-        mask = KeepMask(np.ones(4, dtype=np.uint8))
-        s = split_coefficient(p, mask, 3)
+        s = split_coefficient(p, np.ones(4, dtype=np.uint8), 3)
         assert (s.first, s.second, s.diagonal) == (2, 2, 0)
         assert s.total == square(p)[3] == 4
 
     def test_even_diagonal_vanishes_without_center_term(self):
         p = parse_polynomial("0,3")  # p_2 = 0
-        mask = KeepMask(np.ones(4, dtype=np.uint8))
-        s = split_coefficient(p, mask, 4)
+        s = split_coefficient(p, np.ones(4, dtype=np.uint8), 4)
         assert s.diagonal == 0
 
     def test_errors(self):
         p = parse_polynomial("111", "bitstring")
-        mask = KeepMask(np.ones(3, dtype=np.uint8))
         with pytest.raises(ValueError):
-            split_coefficient(p, mask, 5)
+            split_coefficient(p, np.ones(3, dtype=np.uint8), 5)
         with pytest.raises(ValueError):
-            split_coefficient(p, KeepMask(np.ones(2, dtype=np.uint8)), 1)
+            split_coefficient(p, np.ones(2, dtype=np.uint8), 1)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -269,11 +273,10 @@ class TestSplit:
         bits = data.draw(
             st.lists(st.integers(0, 1), min_size=p.degree + 1, max_size=p.degree + 1)
         )
-        mask = KeepMask(np.array(bits, dtype=np.uint8))
-        q = masked_polynomial(p, mask)
+        q = masked_polynomial(p, bits)
         q_sq = square(q) if q is not None else None
         for k in range(2 * p.degree + 1):
-            s = split_coefficient(p, mask, k)
+            s = split_coefficient(p, bits, k)
             if q_sq is not None and k <= 2 * q.degree:
                 assert s.total == q_sq[k]
             else:
@@ -283,40 +286,14 @@ class TestSplit:
 
 
 class TestBadEvents:
-    def test_all_ones_mask(self):
-        p = NewmanPolynomial.all_ones(100)
-        cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=1)
-        mask = KeepMask(np.ones(101, dtype=np.uint8))
-        flags = detect_bad_events(p, mask, cfg)
-        assert not flags.E
-        assert not flags.D
-        # keeping everything violates the height budget: (1+eps)*alpha^2 < 1
-        alpha = float(alpha_of(100, Fraction(1, 10)))
-        assert (1 + cfg.epsilon) * alpha ** 2 < 1
-        assert flags.E_k_any
-        assert 100 in flags.E_k_indices  # the peak coefficient overshoots
-
     def test_all_zeros_mask(self):
+        # alpha = 100**(-99/100) ~ 0.0105: about a third of the trials keep nothing.
         p = NewmanPolynomial.all_ones(100)
-        cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=1)
-        flags = detect_bad_events(p, KeepMask(np.zeros(101, dtype=np.uint8)), cfg)
-        assert flags.E and flags.D
-        assert not flags.E_k_any
-
-    def test_sample_flags_match_detect(self):
-        p = NewmanPolynomial.all_ones(256)
-        cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=99)
-        for t in range(8):
-            trial = sample(p, cfg, t)
-            assert detect_bad_events(p, trial.mask, cfg) == trial.flags
-
-    def test_mismatched_mask_rejected(self):
-        p = NewmanPolynomial.all_ones(10)
-        cfg = SparsifyConfig(epsilon=0.1)
-        trial = sample(p, cfg, 0)
-        q = NewmanPolynomial.all_ones(12)
-        with pytest.raises(ValueError):
-            detect_bad_events(q, trial.mask, cfg)
+        cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, alpha_exponent=Fraction(99, 100), seed=1)
+        trial = next(t for t in (sample(p, cfg, i) for i in range(50)) if t.is_empty)
+        assert not trial.mask.bits.any()
+        assert trial.flags.E and trial.flags.D
+        assert not trial.flags.E_k_any
 
 
 class TestSample:
@@ -338,7 +315,6 @@ class TestSample:
         mask = sample(p, cfg, 0).mask
         monkeypatch.undo()
         assert mask.bits.dtype == np.uint8 and not mask.bits.flags.writeable
-        assert np.array_equal(mask.bits, KeepMask(mask.bits).bits)
 
     def test_distinct_trials_differ(self):
         p = NewmanPolynomial.all_ones(300)
@@ -372,11 +348,30 @@ class TestSample:
             assert trial.q_metrics.l1 == 2
             assert not trial.flags.E and not trial.flags.D
 
-    def test_empty_survivor_via_detect(self):
-        p = NewmanPolynomial.all_ones(50)
-        cfg = SparsifyConfig(epsilon=0.5, seed=3)
-        flags = detect_bad_events(p, KeepMask(np.zeros(51, dtype=np.uint8)), cfg)
-        assert flags.E and flags.D and not flags.E_k_any
+    @pytest.mark.parametrize("family", ["all-ones", "half-dense"])
+    def test_trials_agree_with_the_oracle_square(self, family):
+        # Each trial's report and E_k indices, against q and p squared by the
+        # direct convolution and the cutoff computed here from alpha_of.
+        if family == "all-ones":
+            p = NewmanPolynomial.all_ones(8192)
+        else:
+            bits = (np.random.default_rng(8000).random(8001) < 0.5).astype(np.uint8)
+            bits[-1] = 1
+            p = NewmanPolynomial(bits)
+        cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=23)
+        alpha = alpha_of(p.degree, cfg.alpha_exponent)
+        cutoff = math.floor((1 + Fraction(cfg.epsilon)) * alpha ** 2 * int(square_oracle(p).max()))
+        overshoots = 0
+        for t in range(3):
+            trial = sample(p, cfg, t)
+            kept = np.flatnonzero(p.coefficients & trial.mask.bits)
+            q = NewmanPolynomial.from_support(kept.tolist())
+            oracle = square_oracle(q)
+            assert trial.q_metrics == RatioReport(q.l1, q.degree, int(oracle.max()))
+            assert trial.flags.E_k_indices == tuple(np.flatnonzero(oracle > cutoff).tolist())
+            overshoots += trial.flags.E_k_any
+        if family == "all-ones":
+            assert overshoots  # the peak near k = N overshoots the height budget
 
     def test_binomial_mean_of_kept_mass(self):
         # all-ones degree 1024, alpha exactly 1/2: mean mass 512.5, and the
