@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -186,6 +187,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once per process and shared by every main() call, so callers must not
+# change it: in-process callers (tests, the benchmark) run main() many times,
+# and the parser takes about 2 ms to build.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newman",
@@ -229,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--floor", type=_fraction, default=Fraction(0),
                       help="density floor c0 (l1 >= c0 * degree)")
     p_se.add_argument("--budget", type=int, default=None,
-                      help="annealing steps over 4 restarts (local_search only; "
-                           "default 10000)")
+                      help="annealing steps per degree (local_search only; default "
+                           "10000): budget // 4 steps in each of 4 restarts, so a "
+                           "remainder is dropped and a budget below 4 runs none")
     p_se.set_defaults(func=_cmd_search)
 
     p_ex = sub.add_parser("experiment", help="run a campaign from a config file")

@@ -13,16 +13,21 @@ duplicates and too-sparse candidates by boolean masks, and squares the
 block with `poly._square_columns`.  Local search squares each restart's
 start once with `poly.square` and then updates that square in O(N) per
 move: flipping coefficient i of p gives (p +- x**i)**2 = p**2 +- 2 x**i p +
-x**(2i), and a swap is two flips.
+x**(2i), and a swap is two flips.  Apart from that update and the square's
+maximum, a move is constant Python work: the walk reads bits from a list
+and draws swap partners from sorted lists of the interior ones and zeros,
+which change only when a move is accepted.
 
 Both modes score a candidate in one place, `_Incumbent.score`, from its
-square height and term count by exact integer comparison; a polynomial and
-its `RatioReport` are built only for a new incumbent.  The density floor
-becomes an integer term count, computed once per degree.
+square height and term count by exact integer comparison; a new incumbent
+only has its bits and square copied, and its polynomial and `RatioReport`
+are built when the degree is done.  The density floor becomes an integer
+term count, computed once per degree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, exp
@@ -139,31 +144,37 @@ class _Incumbent:
         self.degree = degree
         # l1 >= floor * degree, as an integer: l1 >= min_l1.
         self.min_l1 = ceil(spec.density_floor * degree)
-        self.best: Optional[DegreeBest] = None
+        self._bits: Optional[np.ndarray | list[int]] = None
+        self._sq: Optional[np.ndarray] = None
         self._num = self._den = 0  # the incumbent's value, num / den
 
     def score(
-        self, height: int, l1: int, coeffs: np.ndarray, sq: np.ndarray,
+        self, height: int, l1: int, bits: np.ndarray | list[int], sq: np.ndarray,
         meta: SearchMetadata, step: Optional[int] = None,
     ) -> tuple[int, int]:
         """Exact product of a candidate with square height `height` and `l1`
         terms, as a numerator and a positive denominator.
 
-        A strict improvement becomes the incumbent: only then are its 0/1
-        `coeffs` copied into a polynomial and its `RatioReport` read from
-        the square `sq` as given (a uint8 column of the exhaustive block or
-        local search's int64 buffer, never copied), and the value recorded
-        in the trajectory at `step` when one is given.
+        A strict improvement becomes the incumbent: its 0/1 coefficients
+        `bits` (an array or a list) and its square `sq` are copied, and the
+        value is recorded in the trajectory at `step` when one is given.
         """
         num, den = height * self.degree, l1 * l1
-        if self.best is None or num * self._den < self._num * den:
+        if self._bits is None or num * self._den < self._num * den:
             self._num, self._den = num, den
-            candidate = NewmanPolynomial._trusted(coeffs.astype(np.uint8), np.flatnonzero(coeffs))
-            report = metrics(candidate, sq)
-            self.best = DegreeBest(self.degree, candidate, report)
+            self._bits, self._sq = bits.copy(), sq.copy()
             if step is not None:
                 meta.trajectory.append((step, Fraction(num, den)))
         return num, den
+
+    def row(self) -> Optional[DegreeBest]:
+        """The incumbent's polynomial and its report (from the copied square),
+        or None if no candidate was scored."""
+        if self._bits is None:
+            return None
+        coeffs = np.asarray(self._bits, dtype=np.uint8)
+        candidate = NewmanPolynomial._trusted(coeffs, np.flatnonzero(coeffs))
+        return DegreeBest(self.degree, candidate, metrics(candidate, self._sq))
 
 
 def _result(table: list[DegreeBest], meta: SearchMetadata) -> SearchResult:
@@ -222,15 +233,16 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
             # equal values round alike.  argmin keeps the first of equal minima.
             best = int(np.argmin(heights / (l1 * l1)))
             incumbent.score(int(heights[best]), int(l1[best]), columns[:, best], sq[:, best], meta)
-        if incumbent.best is not None:  # else the floor filtered this degree out
-            table.append(incumbent.best)
+        row = incumbent.row()
+        if row is not None:  # else the floor filtered this degree out
+            table.append(row)
     return _result(table, meta)
 
 
 def _random_start(
     rng: np.random.Generator, degree: int, floor: Fraction, min_l1: int, restart: int
 ) -> np.ndarray:
-    coeffs = np.ones(degree + 1, dtype=np.int64)
+    coeffs = np.ones(degree + 1, dtype=np.uint8)
     if restart == 0:
         return coeffs  # the always-feasible dense start
     density = max(float(floor), 0.5)
@@ -242,20 +254,21 @@ def _random_start(
     return coeffs
 
 
-def _flip(coeffs: np.ndarray, sq: np.ndarray, i: int) -> None:
-    """Flip coefficient i of the 0/1 array `coeffs` and update its square `sq` in place.
+def _flip(bits: list[int], twice: np.ndarray, sq: np.ndarray, i: int) -> None:
+    """Flip coefficient i of a 0/1 polynomial p and update its square `sq` in place.
 
-    (p +- x**i)**2 = p**2 +- 2 x**i p + x**(2i), with p before the flip.
+    `bits` lists p's coefficients and `twice` holds 2 * p; both follow the
+    flip.  The flipped p' = p +- x**i has p'**2 - p**2 = +-x**i (p + p'),
+    and p + p' is 2 * p with a 1 at i.
     """
-    window = sq[i:i + len(coeffs)]
-    if coeffs[i]:
-        window -= coeffs
-        window -= coeffs
+    twice[i] = 1  # now p + p'
+    window = sq[i:i + len(twice)]
+    if bits[i]:
+        window -= twice
     else:
-        window += coeffs
-        window += coeffs
-    sq[2 * i] += 1
-    coeffs[i] ^= 1
+        window += twice
+    bits[i] ^= 1
+    twice[i] = 2 * bits[i]
 
 
 def local_search(spec: SearchSpec) -> SearchResult:
@@ -264,8 +277,7 @@ def local_search(spec: SearchSpec) -> SearchResult:
     Never returns or visits a candidate violating the density floor, records
     every improvement of the incumbent, and is fully determined by the seed.
     Each restart squares its start once; a move updates that square with
-    `_flip` in a spare buffer, and the buffers trade places when the move is
-    accepted.
+    `_flip`, and a rejected move is flipped back.
     """
     meta = SearchMetadata(mode="local_search", seed=spec.seed)
     table: list[DegreeBest] = []
@@ -277,46 +289,54 @@ def local_search(spec: SearchSpec) -> SearchResult:
         for restart in range(restarts):
             rng = np.random.default_rng([spec.seed, degree, restart])
             coeffs = _random_start(rng, degree, spec.density_floor, incumbent.min_l1, restart)
-            l1 = int(coeffs.sum())
-            # square() returns a read-only array; _flip writes in place.
-            sq = square(NewmanPolynomial._trusted(coeffs.astype(np.uint8), np.flatnonzero(coeffs))).copy()
-            spare = np.empty_like(sq)
+            # int32 is exact: no coefficient of the square exceeds l1.
+            sq = square(NewmanPolynomial._trusted(coeffs, np.flatnonzero(coeffs))).astype(np.int32)
+            bits = coeffs.tolist()
+            twice = 2 * coeffs.astype(np.int32)
+            interior = coeffs[1:degree]
+            # The interior ones and zeros, sorted; they change only when a move is accepted.
+            ones = (np.flatnonzero(interior) + 1).tolist()
+            zeros = (np.flatnonzero(interior == 0) + 1).tolist()
+            l1 = len(ones) + 2
             meta.candidates_examined += 1
-            num, den = incumbent.score(int(sq.max()), l1, coeffs, sq, meta, global_iter)
+            num, den = incumbent.score(int(sq.max()), l1, bits, sq, meta, global_iter)
             if degree <= 1:
                 continue  # no interior bits to move
             temp_hi, temp_lo = 0.05, 1e-4
             for step in range(per_restart):
                 global_iter += 1
-                frac = step / max(1, per_restart - 1)
-                temperature = temp_hi * (temp_lo / temp_hi) ** frac
                 if rng.random() < 0.5:
-                    moved: tuple[int, ...] = (int(rng.integers(1, degree)),)
-                    l1_after = l1 + 1 - 2 * int(coeffs[moved[0]])
+                    i = int(rng.integers(1, degree))
+                    moved: tuple[int, ...] = (i,)
+                    l1_after = l1 + 1 - 2 * bits[i]
                     if l1_after < incumbent.min_l1:
                         meta.density_rejected += 1
                         continue
                 else:
-                    if l1 == 2 or l1 == degree + 1:
+                    if not (ones and zeros):
                         continue  # no interior one, or no interior zero, to swap
-                    ones = coeffs[1:degree].nonzero()[0] + 1
-                    zeros = (coeffs[1:degree] == 0).nonzero()[0] + 1
-                    moved = (int(ones[rng.integers(len(ones))]), int(zeros[rng.integers(len(zeros))]))
+                    moved = (ones[rng.integers(len(ones))], zeros[rng.integers(len(zeros))])
                     l1_after = l1
-                np.copyto(spare, sq)
                 for i in moved:
-                    _flip(coeffs, spare, i)
+                    _flip(bits, twice, sq, i)
                 meta.candidates_examined += 1
-                new_num, new_den = incumbent.score(int(spare.max()), l1_after, coeffs, spare, meta, global_iter)
+                new_num, new_den = incumbent.score(int(sq.max()), l1_after, bits, sq, meta, global_iter)
                 # int / int rounds correctly, so this is float(value - current value).
                 delta = (new_num * den - num * new_den) / (new_den * den)
-                if delta <= 0 or rng.random() < exp(-delta / temperature):
-                    sq, spare = spare, sq
+                accept = delta <= 0
+                if not accept:
+                    temperature = temp_hi * (temp_lo / temp_hi) ** (step / max(1, per_restart - 1))
+                    accept = rng.random() < exp(-delta / temperature)
+                if accept:
                     l1, num, den = l1_after, new_num, new_den
+                    for i in moved:
+                        gone, gained = (zeros, ones) if bits[i] else (ones, zeros)
+                        del gone[bisect_left(gone, i)]
+                        insort(gained, i)
                 else:
                     for i in moved:
-                        coeffs[i] ^= 1  # undo the move
-        table.append(incumbent.best)  # the dense start is always feasible
+                        _flip(bits, twice, sq, i)  # undo the move
+        table.append(incumbent.row())  # the dense start is always feasible
     return _result(table, meta)
 
 

@@ -4,13 +4,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import newmanlab
 import newmanlab.cli
 import newmanlab.poly
 import newmanlab.sparsify
-from newmanlab.cli import main
+from newmanlab.cli import build_parser, main
 from newmanlab.experiment import SUMMARY_COLUMNS, TRIAL_COLUMNS
 
 
@@ -295,6 +299,16 @@ class TestSearch:
         assert code == 0
         assert specs[0].iteration_budget == 10_000
 
+    # local_search runs budget // 4 steps in each of 4 restarts: a remainder
+    # is dropped, and a budget below 4 runs no annealing step.
+    @pytest.mark.parametrize("budget, rounded", [("7", "4"), ("3", "0")])
+    def test_budget_rounds_down_to_a_multiple_of_four(self, capsys, budget, rounded):
+        argv = ["search", "--min-degree", "20", "--max-degree", "21",
+                "--mode", "local_search", "--seed", "4", "--budget"]
+        code, out, _ = run(capsys, *argv, budget)
+        assert code == 0
+        assert run(capsys, *argv, rounded) == (0, out, "")
+
     def test_cap_error(self, capsys):
         code, _, err = run(capsys, "search", "--min-degree", "1",
                            "--max-degree", "29")
@@ -324,8 +338,15 @@ class TestSearch:
         (["--min-degree", "1", "--max-degree", "14", "--floor", "4/5"],
          "09c003d86302b2013491c0705578ce76745658ab9f417b06fb994dcb7b996f9c",
          "99ed0ae26ae7700fa7ba576ca8c7748cc14c59561fa063d7e6be243d9ac1aaf7"),
+        # Several degrees under a high floor: swaps, density rejections (about
+        # a third of the steps) and the upkeep of the walk's index lists.
+        (["--min-degree", "64", "--max-degree", "66", "--mode", "local_search",
+          "--floor", "4/5", "--budget", "4000", "--seed", "11"],
+         "1977e3b4e7793b107b476f7c4cb18c4533d770b1aaa0ccc617279176cfecd30e",
+         "bcf06811c510487dd8d086a0efc9ce0958ed1e9bdcc118dea2ff0cf1ec3bd9a8"),
     ], ids=["exhaustive-1-12", "exhaustive-min-ratio-floor-half", "local-256",
-            "local-1024", "exhaustive-1-14-min-ratio-floor-four-fifths"])
+            "local-1024", "exhaustive-1-14-min-ratio-floor-four-fifths",
+            "local-64-66-floor-four-fifths"])
     def test_pinned_output_bytes(self, capsys, tmp_path, argv, json_digest, csv_digest):
         code, _, _ = run(capsys, "search", *argv, "--out", str(tmp_path))
         assert code == 0
@@ -457,11 +478,48 @@ class TestOutOfMemory:
         assert err == f"newman: error: out of memory{tail}\n"
 
 
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of `python -m newmanlab.cli argv` in a new interpreter."""
+    src = os.path.dirname(os.path.dirname(newmanlab.__file__))
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-m", "newmanlab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def run_or_exit(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), whether it returns or exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+        assert capsys.readouterr().out == f"newman {newmanlab.__version__}\n"
+
+    def test_one_parser_serves_every_call(self, capsys):
+        assert build_parser() is build_parser()
+        search = ["search", "--min-degree", "30", "--max-degree", "31",
+                  "--mode", "local_search", "--budget", "400", "--seed", "5"]
+        calls = [
+            search,
+            ["square", "--all-ones", "6", "--format", "csv"],
+            ["search", "--min-degree", "1", "--mode", "local_search"],  # argparse: exit 2
+            search,
+        ]
+        results = [run_or_exit(capsys, argv) for argv in calls]
+        assert [code for code, _, _ in results] == [0, 0, 2, 0]
+        assert "required: --max-degree" in results[2][2]
+        for argv, result in zip(calls, results):
+            assert result == fresh_process(argv)
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from newmanlab.poly import NewmanPolynomial, _square_columns, metrics, square_oracle
+from newmanlab.poly import NewmanPolynomial, RatioReport, _square_columns, metrics, square_oracle
 from newmanlab.search import (
+    SearchMetadata,
     SearchSpec,
     _flip,
+    _Incumbent,
     exhaustive_search,
     local_search,
     verify_hypothesis,
@@ -139,18 +141,20 @@ class TestSquareKernels:
     def test_flip_and_swap_update_the_square(self, data):
         degree = data.draw(st.integers(min_value=2, max_value=200))
         interior = data.draw(st.lists(st.integers(0, 1), min_size=degree - 1, max_size=degree - 1))
-        coeffs = np.array([1, *interior, 1], dtype=np.int64)
-        sq = square_oracle(NewmanPolynomial(coeffs)).copy()
+        bits = [1, *interior, 1]
+        twice = 2 * np.array(bits, dtype=np.int32)
+        sq = square_oracle(NewmanPolynomial(bits)).astype(np.int32)
         if data.draw(st.booleans()):  # a swap: one interior term out, another in
-            ones = [j for j in range(1, degree) if coeffs[j]]
-            zeros = [j for j in range(1, degree) if not coeffs[j]]
+            ones = [j for j in range(1, degree) if bits[j]]
+            zeros = [j for j in range(1, degree) if not bits[j]]
             assume(ones and zeros)
             moved = [data.draw(st.sampled_from(ones)), data.draw(st.sampled_from(zeros))]
         else:
             moved = [data.draw(st.integers(min_value=1, max_value=degree - 1))]
         for i in moved:
-            _flip(coeffs, sq, i)
-        assert sq.tolist() == square_oracle(NewmanPolynomial(coeffs)).tolist()
+            _flip(bits, twice, sq, i)
+        assert sq.tolist() == square_oracle(NewmanPolynomial(bits)).tolist()
+        assert twice.tolist() == [2 * b for b in bits]
 
 
 class TestLocalSearch:
@@ -190,6 +194,51 @@ class TestLocalSearch:
         spec = SearchSpec(4, 7, iteration_budget=2000, seed=1)
         res = local_search(spec)
         assert [row.degree for row in res.degree_table] == [4, 5, 6, 7]
+
+
+class TestIncumbentRows:
+    """Each degree row is built from copies of the incumbent's bits and square,
+    taken when it was found; rebuild its report from an independent square."""
+
+    @staticmethod
+    def assert_rows_match_the_oracle(result):
+        for row in result.degree_table:
+            oracle = RatioReport(row.polynomial.l1, row.degree,
+                                 int(square_oracle(row.polynomial).max()))
+            assert (row.report.l1, row.report.height, row.report.product) == \
+                (oracle.l1, oracle.height, oracle.product)
+            assert row.polynomial.degree == row.degree
+
+    def test_incumbent_outlives_the_walk(self):
+        # A walk goes on changing its bits and square in place after an improvement.
+        incumbent = _Incumbent(3, SearchSpec(3, 3))
+        bits = [1, 1, 0, 1]
+        sq = square_oracle(NewmanPolynomial(bits)).astype(np.int32)
+        meta = SearchMetadata(mode="local_search", seed=0)
+        assert incumbent.score(int(sq.max()), 3, bits, sq, meta, 0) == (6, 9)
+        bits[2] = 1
+        sq[:] = 9
+        row = incumbent.row()
+        assert row.polynomial == NewmanPolynomial([1, 1, 0, 1])
+        assert row.report == metrics(row.polynomial)
+        assert meta.trajectory == [(0, Fraction(2, 3))]
+
+    @pytest.mark.parametrize("degree", [40, 256])
+    @pytest.mark.parametrize("seed", [0, 5, 31])
+    def test_local_rows_and_trajectory(self, degree, seed):
+        res = local_search(SearchSpec(degree, degree, density_floor=Fraction(1, 2),
+                                      iteration_budget=2000, seed=seed))
+        self.assert_rows_match_the_oracle(res)
+        assert res.report == res.degree_table[0].report
+        values = [value for _, value in res.metadata.trajectory]
+        assert len(values) > 1
+        assert all(later < earlier for earlier, later in zip(values, values[1:]))
+        assert values[-1] == res.report.product
+
+    def test_exhaustive_rows(self):
+        res = exhaustive_search(SearchSpec(1, 12))
+        assert [row.degree for row in res.degree_table] == list(range(1, 13))
+        self.assert_rows_match_the_oracle(res)
 
 
 class TestVerifyHypothesis:
