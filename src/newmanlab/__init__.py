@@ -12,7 +12,6 @@ from .poly import (  # noqa: F401
     square_oracle,
 )
 from .concentration import (  # noqa: F401
-    TailBound,
     bad_event_E_bound,
     c_epsilon,
     choose_epsilon,
@@ -41,7 +40,6 @@ from .search import (  # noqa: F401
 )
 from .experiment import (  # noqa: F401
     CampaignConfig,
-    CampaignSummary,
     emit_results,
     parse_campaign_file,
     run_campaign,

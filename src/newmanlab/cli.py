@@ -118,16 +118,15 @@ def _cmd_chernoff(args: argparse.Namespace) -> int:
         payload["c_epsilon"] = c_epsilon(epsilon)
         if args.mean is not None:
             bound = tail_bound(epsilon, args.mean)
-            payload["tail_bound"] = {"mean": args.mean, "raw": bound.raw,
-                                     "clamped": bound.clamped}
+            payload["tail_bound"] = {"mean": args.mean, "raw": bound, "clamped": min(1.0, bound)}
         if args.n is not None:
             bound = bad_event_E_bound(args.n, args.c0, epsilon, args.alpha_exponent)
             payload["bad_event_E_bound"] = {
                 "N": args.n,
                 "c0": str(Fraction(args.c0)),
                 "alpha_exponent": str(Fraction(args.alpha_exponent)),
-                "raw": bound.raw,
-                "clamped": bound.clamped,
+                "raw": bound,
+                "clamped": min(1.0, bound),
             }
     if not payload:
         raise ValueError("nothing to compute: give --epsilon or --rho/--rho-prime")
@@ -176,10 +175,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     flags = {"seed": args.seed, "output_dir": args.out,
              "trials_per_degree": args.trials, "format": args.format}
     config = parse_campaign_file(args.config, **{k: v for k, v in flags.items() if v is not None})
-    summary = run_campaign(config, workers=args.workers)
-    paths = emit_results(summary)
+    rungs = run_campaign(config, workers=args.workers)
+    paths = emit_results(config, rungs)
     sys.stdout.write(f"wrote {paths['manifest']}\n")
-    for row in summary.degrees:
+    for row in rungs:
         sys.stdout.write(
             f"degree {row.degree}: freq_E={row.freq_E:.4f} freq_Ek={row.freq_Ek:.4f} "
             f"freq_D={row.freq_D:.4f} clean={row.freq_clean:.4f}\n"

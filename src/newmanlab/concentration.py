@@ -10,12 +10,10 @@ amplification of the ratio product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "TailBound",
     "c_epsilon",
     "tail_bound",
     "bad_event_E_bound",
@@ -44,26 +42,17 @@ def c_epsilon(epsilon: float) -> float:
     return min(first, e * e / 2.0)
 
 
-@dataclass(frozen=True)
-class TailBound:
-    """A probability bound, both as computed and clamped into [0, 1]."""
-
-    raw: float
-    clamped: float
-
-
-def tail_bound(epsilon: float, mean: float) -> TailBound:
+def tail_bound(epsilon: float, mean: float) -> float:
     """Two-sided bound 2*exp(-c(eps)*mean) on P{|X - EX| > eps*EX}, EX = mean.
 
-    Values above 1 are vacuous; the raw number is kept so callers can see
-    how far from useful the bound is.
+    Values above 1 are vacuous but returned as they are, so callers can see
+    how far from useful the bound is; outputs clamp with min(1.0, bound).
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 <= mean < math.inf:
         raise ValueError(f"mean must be nonnegative and finite, got {mean}")
-    raw = 2.0 * math.exp(-c_epsilon(epsilon) * mean)
-    return TailBound(raw=raw, clamped=min(1.0, raw))
+    return 2.0 * math.exp(-c_epsilon(epsilon) * mean)
 
 
 def bad_event_E_bound(
@@ -71,7 +60,7 @@ def bad_event_E_bound(
     c0: Fraction | float,
     epsilon: float,
     alpha_exponent: Fraction | float,
-) -> TailBound:
+) -> float:
     """Bound 2*exp(-c(eps) * c0 * N**(1 - alpha_exponent)) on the low-mass event.
 
     This is the thinning-specific form: the kept-term count has mean at

@@ -4,12 +4,13 @@ A campaign builds one dense polynomial per ladder degree and runs a fixed
 number of seeded thinning trials against it.  Its config is a thinning
 config (`SparsifyConfig`, which declares and checks every thinning
 parameter) that adds the family, ladder, trial count and output settings,
-and every trial takes the campaign config itself.  Each rung keeps its trial
-records and the predicted tail bound of event E; every summary column
-(bad-event frequencies, surviving counts, exact l1/degree/product
-aggregates) is derived from those records when it is rendered.  The flat
-deterministic artifacts are a summary table, per-degree trial tables, and a
-manifest recording the RNG algorithm, master seed and config digest.
+and every trial takes the campaign config itself.  A campaign returns its
+rungs, each with its trial records and the unclamped tail bound of event E;
+every summary column (bad-event frequencies, surviving counts, exact
+l1/degree/product aggregates) is derived from those records when it is
+rendered.  The flat deterministic artifacts are a summary table, per-degree
+trial tables, and a manifest recording the RNG algorithm, master seed and
+config digest.
 Identical configs produce byte-identical files, whatever the worker count.
 """
 
@@ -17,18 +18,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-import numpy as np
-
 from . import __version__
-from .concentration import TailBound, bad_event_E_bound, choose_epsilon
+from .concentration import bad_event_E_bound, choose_epsilon
 from .poly import NewmanPolynomial, parse_polynomial, square
 from .sparsify import (
     RNG_ALGORITHM,
@@ -45,7 +45,6 @@ __all__ = [
     "MEAN_PROXY_DEN",
     "CampaignConfig",
     "DegreeSummary",
-    "CampaignSummary",
     "record_from_trial",
     "parse_campaign_file",
     "run_campaign",
@@ -155,13 +154,14 @@ def _canonical(value):
 class DegreeSummary:
     """One rung of a campaign: its parameters and its trial records in trial order.
 
-    Every summary column is derived from `records` when it is read.
+    `bound_E` is the unclamped `bad_event_E_bound`.  Every summary column is
+    derived from `records` when it is read.
     """
 
     degree: int
     alpha: float
     epsilon: float
-    bound_E: TailBound
+    bound_E: float
     records: tuple[TrialRecord, ...]
 
     @property
@@ -214,19 +214,13 @@ class DegreeSummary:
             "freq_clean": self.freq_clean,
             "mean_product_num": proxy,
             "mean_product_den_proxy": None if proxy is None else MEAN_PROXY_DEN,
-            "bound_E_raw": self.bound_E.raw,
-            "bound_E_clamped": self.bound_E.clamped,
+            "bound_E_raw": self.bound_E,
+            "bound_E_clamped": min(1.0, self.bound_E),
             "successful_trials": len(reports),
             "l1": {"mean": frac12(l1_mean), "min": l1_min, "max": l1_max},
             "deg": {"mean": frac12(deg_mean), "min": deg_min, "max": deg_max},
             "product": {"mean": frac12(product_mean), "min": pair(product_min), "max": pair(product_max)},
         }
-
-
-@dataclass
-class CampaignSummary:
-    config: CampaignConfig
-    degrees: list[DegreeSummary] = field(default_factory=list)
 
 
 def _parse_ladder(text: str) -> tuple[int, ...]:
@@ -298,56 +292,39 @@ def record_from_trial(trial: SparsifyTrial) -> TrialRecord:
     return TrialRecord(trial.trial_index, trial.trial_seed, trial.q_metrics, trial.flags)
 
 
-def _trial_chunk(
-    p: NewmanPolynomial,
-    config: SparsifyConfig,
-    p_square_height: int,
-    lo: int,
-    hi: int,
-) -> list[TrialRecord]:
-    return [
-        record_from_trial(sample(p, config, t, p_square_height=p_square_height))
-        for t in range(lo, hi)
-    ]
+def _trial(p: NewmanPolynomial, config: SparsifyConfig, p_square_height: int, t: int) -> TrialRecord:
+    return record_from_trial(sample(p, config, t, p_square_height=p_square_height))
 
 
-def _run_degree(
-    p: NewmanPolynomial,
-    config: SparsifyConfig,
-    trials: int,
-    p_square_height: int,
-    workers: int,
-) -> list[TrialRecord]:
+def _run_degree(p: NewmanPolynomial, config: CampaignConfig, workers: int) -> tuple[TrialRecord, ...]:
+    """The rung's trial records in trial order, whatever the worker count."""
+    trials = config.trials_per_degree
+    trial = partial(_trial, p, config, int(square(p).max()))
     if workers == 1 or trials < 2 * workers:
-        return _trial_chunk(p, config, p_square_height, 0, trials)
-    bounds = np.linspace(0, trials, workers + 1, dtype=int).tolist()
+        return tuple(map(trial, range(trials)))
+    # Imported here: multiprocessing would add to the start-up of every other command.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_trial_chunk, p, config, p_square_height, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        # Chunks are consecutive index ranges, so this is trial order.
-        return [record for future in futures for record in future.result()]
+        return tuple(pool.map(trial, range(trials), chunksize=math.ceil(trials / workers)))
 
 
-def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignSummary:
-    """Run every ladder degree; reproducible from (config, seed)."""
+def run_campaign(config: CampaignConfig, workers: int = 1) -> list[DegreeSummary]:
+    """Run every ladder degree, one rung each; reproducible from (config, seed)."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    summary = CampaignSummary(config=config)
     # Every rung's polynomial is built first, so a missing one fails before any trial.
     polys = [_FAMILIES[config.family](config, degree) for degree in config.degree_ladder]
-    for degree, p in zip(config.degree_ladder, polys):
-        p_height = int(square(p).max())
-        records = tuple(_run_degree(p, config, config.trials_per_degree, p_height, workers))
-        summary.degrees.append(DegreeSummary(
+    return [
+        DegreeSummary(
             degree=degree,
             alpha=float(alpha_of(p.degree, config.alpha_exponent)),
             epsilon=config.epsilon,
             bound_E=bad_event_E_bound(degree, config.c0, config.epsilon, config.alpha_exponent),
-            records=records,
-        ))
-    return summary
+            records=_run_degree(p, config, workers),
+        )
+        for degree, p in zip(config.degree_ladder, polys)
+    ]
 
 
 def write_text(path: Optional[str], text: str) -> None:
@@ -403,18 +380,18 @@ def trial_table_text(records: Sequence[TrialRecord], format: str) -> str:
     return json_text([dict(zip(TRIAL_COLUMNS, row)) for row in rows])
 
 
-def emit_results(summary: CampaignSummary) -> dict[str, str]:
-    """Write summary, per-degree trial tables and the manifest; returns paths.
+def emit_results(config: CampaignConfig, rungs: Sequence[DegreeSummary]) -> dict[str, str]:
+    """Write the rungs' summary, per-degree trial tables and the manifest; returns paths.
 
     Output is deterministic: fixed column orders, shortest-round-trip float
     formatting, LF newlines, and no timestamps.
     """
-    fmt = summary.config.format
-    out_dir = summary.config.output_dir
+    fmt = config.format
+    out_dir = config.output_dir
     paths: dict[str, str] = {}
 
     summary_name = f"summary.{fmt}"
-    rows = [row.to_json_dict() for row in summary.degrees]
+    rows = [row.to_json_dict() for row in rungs]
     if fmt == "csv":
         summary_text = csv_text(SUMMARY_COLUMNS, [[row[c] for c in SUMMARY_COLUMNS] for row in rows])
     else:
@@ -424,7 +401,7 @@ def emit_results(summary: CampaignSummary) -> dict[str, str]:
     paths["summary"] = summary_path
 
     trial_files: dict[str, str] = {}
-    for row in summary.degrees:
+    for row in rungs:
         name = f"trials_degree_{row.degree}.{fmt}"
         write_text(os.path.join(out_dir, name), trial_table_text(row.records, fmt))
         trial_files[str(row.degree)] = name
@@ -434,10 +411,10 @@ def emit_results(summary: CampaignSummary) -> dict[str, str]:
         "artifact": "newmanlab",
         "version": __version__,
         "rng_algorithm": RNG_ALGORITHM,
-        "master_seed": summary.config.seed,
-        "epsilon": repr(summary.config.epsilon),
-        "config": summary.config.canonical_dict(),
-        "config_sha256": summary.config.sha256(),
+        "master_seed": config.seed,
+        "epsilon": repr(config.epsilon),
+        "config": config.canonical_dict(),
+        "config_sha256": config.sha256(),
         "summary_file": summary_name,
         "trial_files": trial_files,
         "summary_columns": SUMMARY_COLUMNS,

@@ -13,8 +13,9 @@ rational, otherwise the exact value of the float N**(-exponent) that the mask
 is drawn against.  All event thresholds are evaluated in exact rational
 arithmetic (a float epsilon is converted to the rational it represents)
 and cached per (p, config) in `_Cutoffs`.  `theorem_conclusion_check`
-reads the amplification (1+eps)/(1-eps)**2 from the same cutoffs, so its
-verdict on a clean trial follows from the flags by exact arithmetic.
+compares against the exact amplification (1+eps)/(1-eps)**2 of the same
+epsilon, so its verdict on a clean trial follows from the flags by exact
+arithmetic.
 `expectation_oracle` checks the expectation formulas by enumerating every
 mask of a small p, squaring each block of them with `poly._square_columns`.
 """
@@ -293,10 +294,9 @@ class _Cutoffs(NamedTuple):
     """Exact event cutoffs for thinning one p with one config."""
 
     alpha: Fraction
-    low_mass: Fraction       # E: kept mass below this
-    height: int              # E_k: squared coefficient above this
-    degree: Fraction         # D: degree of q at most this
-    amplification: Fraction  # (1+eps)/(1-eps)**2: how far clean thinning lifts the product
+    low_mass: Fraction  # E: kept mass below this
+    height: int         # E_k: squared coefficient above this
+    degree: Fraction    # D: degree of q at most this
 
 
 @lru_cache(maxsize=64)
@@ -309,7 +309,6 @@ def _cutoffs(degree: int, l1: int, p_square_height: int, config: SparsifyConfig)
         low_mass=(1 - fe) * alpha * l1,
         height=math.floor((1 + fe) * alpha * alpha * p_square_height),
         degree=Fraction(config.c0, 2) * degree,
-        amplification=exact_amplification(config.epsilon),
     )
 
 
@@ -380,5 +379,4 @@ def theorem_conclusion_check(
     """
     if not trial.flags.clean:
         raise ValueError("trial has bad events; the conclusion check does not apply")
-    cutoffs = _cutoffs(p_report.degree, p_report.l1, p_report.height, config)
-    return trial.q_metrics.product <= cutoffs.amplification * p_report.product
+    return trial.q_metrics.product <= exact_amplification(config.epsilon) * p_report.product

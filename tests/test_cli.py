@@ -118,6 +118,7 @@ class TestChernoff:
         payload = json.loads(out)
         assert payload["c_epsilon"] == pytest.approx(0.3862943611198906)
         assert payload["tail_bound"]["raw"] == pytest.approx(0.04199, abs=5e-5)
+        assert payload["tail_bound"]["clamped"] == payload["tail_bound"]["raw"]
 
     def test_rho_pair(self, capsys):
         code, out, _ = run(capsys, "chernoff", "--rho", "8/9", "--rho-prime", "0.95")

@@ -65,22 +65,22 @@ class TestTailBound:
     def test_example(self):
         b = tail_bound(1.0, 10.0)
         expected = 2 * math.exp(-10 * (2 * math.log(2) - 1))
-        assert b.raw == pytest.approx(expected, rel=1e-13)
-        assert b.raw == pytest.approx(0.04199, abs=5e-5)
-        assert b.clamped == b.raw
+        assert b == pytest.approx(expected, rel=1e-13)
+        assert b == pytest.approx(0.04199, abs=5e-5)
+        assert min(1.0, b) == b
 
     def test_zero_mean_is_vacuous(self):
         b = tail_bound(0.1, 0.0)
-        assert b.raw == 2.0
-        assert b.clamped == 1.0
+        assert b == 2.0
+        assert min(1.0, b) == 1.0
 
     def test_huge_mean_underflows_quietly(self):
         b = tail_bound(1.0, 1e6)
-        assert b.raw == 0.0
-        assert b.clamped == 0.0
+        assert b == 0.0
+        assert min(1.0, b) == 0.0
 
     def test_monotone_in_mean(self):
-        values = [tail_bound(0.5, m).raw for m in (0, 1, 10, 100, 1000)]
+        values = [tail_bound(0.5, m) for m in (0, 1, 10, 100, 1000)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_query_validation(self):
@@ -98,7 +98,7 @@ class TestTailBound:
             mean = m * prob
             draws = rng.binomial(m, prob, size=trials)
             for eps in (0.5, 1.0):
-                bound = tail_bound(eps, mean).clamped
+                bound = min(1.0, tail_bound(eps, mean))
                 freq = float(np.mean(np.abs(draws - mean) > eps * mean))
                 se = math.sqrt(max(freq * (1 - freq), 1e-12) / trials)
                 assert freq <= bound + 3 * se, (m, prob, eps, freq, bound)
@@ -108,18 +108,18 @@ class TestBadEventBound:
     def test_small_scale_is_vacuous(self):
         b = bad_event_E_bound(100, Fraction(1), 0.1, Fraction(1, 10))
         expected = 2 * math.exp(-c_epsilon(0.1) * 100 ** 0.9)
-        assert b.raw == pytest.approx(expected, rel=1e-12)
-        assert b.raw == pytest.approx(1.473, abs=2e-3)
-        assert b.clamped == 1.0
+        assert b == pytest.approx(expected, rel=1e-12)
+        assert b == pytest.approx(1.473, abs=2e-3)
+        assert min(1.0, b) == 1.0
 
     def test_example_1024(self):
         b = bad_event_E_bound(1024, Fraction(1), 1.0, Fraction(1, 10))
         expected = 2 * math.exp(-(2 * math.log(2) - 1) * 1024 ** 0.9)
-        assert b.raw == pytest.approx(expected, rel=1e-12)
+        assert b == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_decreasing_in_N(self):
         values = [
-            bad_event_E_bound(n, Fraction(1), 0.1, Fraction(1, 10)).raw
+            bad_event_E_bound(n, Fraction(1), 0.1, Fraction(1, 10))
             for n in (10, 100, 1000, 10_000, 100_000)
         ]
         assert all(a > b for a, b in zip(values, values[1:]))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from newmanlab import experiment
-from newmanlab.concentration import choose_epsilon
+from newmanlab.concentration import bad_event_E_bound, choose_epsilon
 from newmanlab.experiment import (
     MEAN_PROXY_DEN,
     SUMMARY_COLUMNS,
@@ -224,8 +224,8 @@ class TestRun:
     def test_counts_and_frequencies(self, tmp_path):
         cfg = small_config(tmp_path)
         summary = run_campaign(cfg)
-        assert [row.degree for row in summary.degrees] == [32, 64]
-        for row in summary.degrees:
+        assert [row.degree for row in summary] == [32, 64]
+        for row in summary:
             assert row.trials == 25
             for freq in (row.freq_E, row.freq_Ek, row.freq_D, row.freq_clean):
                 assert 0.0 <= freq <= 1.0
@@ -238,7 +238,7 @@ class TestRun:
     def test_summary_recomputable_from_trial_rows(self, tmp_path):
         cfg = small_config(tmp_path)
         summary = run_campaign(cfg)
-        for row in summary.degrees:
+        for row in summary:
             records = row.records
             succ = [r.q_metrics for r in records if not r.is_empty]
             mean_product = sum((q.product for q in succ), Fraction(0)) / len(succ)
@@ -260,12 +260,14 @@ class TestRun:
     def test_trial_records_are_deterministic(self, tmp_path):
         a = run_campaign(small_config(tmp_path))
         b = run_campaign(small_config(tmp_path))
-        assert a.degrees == b.degrees
+        assert a == b
 
-    def test_worker_count_does_not_change_records(self, tmp_path):
+    # 25 trials: chunks of 13/12, 9/9/7 and 7/7/7/4; 13 workers run serially (25 < 26).
+    @pytest.mark.parametrize("workers", [2, 3, 4, 13])
+    def test_worker_count_does_not_change_records(self, tmp_path, workers):
         serial = run_campaign(small_config(tmp_path), workers=1)
-        parallel = run_campaign(small_config(tmp_path), workers=3)
-        assert serial.degrees == parallel.degrees
+        parallel = run_campaign(small_config(tmp_path), workers=workers)
+        assert serial == parallel
 
     def test_from_file_family(self, tmp_path):
         family = tmp_path / "family.txt"
@@ -274,7 +276,7 @@ class TestRun:
         cfg = small_config(tmp_path, family="from_file",
                            family_file=str(family), degree_ladder=(8, 16))
         summary = run_campaign(cfg)
-        assert [row.degree for row in summary.degrees] == [8, 16]
+        assert [row.degree for row in summary] == [8, 16]
 
     def test_from_file_missing_degree(self, tmp_path):
         family = tmp_path / "family.txt"
@@ -305,15 +307,22 @@ class TestRun:
         import math
 
         summary = run_campaign(small_config(tmp_path, trials_per_degree=200))
-        for row in summary.degrees:
+        for row in summary:
             se = math.sqrt(max(row.freq_E * (1 - row.freq_E), 1e-9) / row.trials)
-            assert row.freq_E <= row.bound_E.clamped + 3 * se
+            assert row.freq_E <= min(1.0, row.bound_E) + 3 * se
+        # The summary writes the bound unclamped, then clamped: vacuous at 64, not at 16384.
+        cfg = small_config(tmp_path, degree_ladder=(64, 16384), trials_per_degree=1)
+        rows = [row.to_json_dict() for row in run_campaign(cfg)]
+        raws = [bad_event_E_bound(n, cfg.c0, cfg.epsilon, cfg.alpha_exponent) for n in (64, 16384)]
+        assert [row["bound_E_raw"] for row in rows] == raws
+        assert raws == [pytest.approx(1.98, abs=5e-3), pytest.approx(0.445, abs=5e-4)]
+        assert [row["bound_E_clamped"] for row in rows] == [1.0, raws[1]]
 
 
 class TestEmit:
     def test_csv_layout(self, tmp_path):
         cfg = small_config(tmp_path)
-        paths = emit_results(run_campaign(cfg))
+        paths = emit_results(cfg, run_campaign(cfg))
         summary_lines = read(paths["summary"]).decode().splitlines()
         assert summary_lines[0] == ",".join(SUMMARY_COLUMNS)
         assert len(summary_lines) == 3
@@ -324,7 +333,7 @@ class TestEmit:
 
     def test_manifest_contents(self, tmp_path):
         cfg = small_config(tmp_path)
-        paths = emit_results(run_campaign(cfg))
+        paths = emit_results(cfg, run_campaign(cfg))
         manifest = json.loads(read(paths["manifest"]))
         assert manifest["artifact"] == "newmanlab"
         assert manifest["rng_algorithm"].startswith("numpy-pcg64")
@@ -338,8 +347,8 @@ class TestEmit:
     def test_byte_identical_across_runs(self, tmp_path):
         cfg_a = small_config(tmp_path, output_dir=str(tmp_path / "a"))
         cfg_b = small_config(tmp_path, output_dir=str(tmp_path / "b"))
-        paths_a = emit_results(run_campaign(cfg_a))
-        paths_b = emit_results(run_campaign(cfg_b))
+        paths_a = emit_results(cfg_a, run_campaign(cfg_a))
+        paths_b = emit_results(cfg_b, run_campaign(cfg_b))
         for key in ("summary", "manifest"):
             assert read(paths_a[key]) == read(paths_b[key])
         for degree in (32, 64):
@@ -349,7 +358,7 @@ class TestEmit:
 
     def test_summary_recomputable_from_written_csv(self, tmp_path):
         cfg = small_config(tmp_path)
-        paths = emit_results(run_campaign(cfg))
+        paths = emit_results(cfg, run_campaign(cfg))
         summary_lines = read(paths["summary"]).decode().splitlines()
         header = summary_lines[0].split(",")
         for line in summary_lines[1:]:
@@ -383,8 +392,8 @@ class TestEmit:
     def test_byte_identical_across_worker_counts(self, tmp_path):
         cfg_a = small_config(tmp_path, output_dir=str(tmp_path / "w1"))
         cfg_b = small_config(tmp_path, output_dir=str(tmp_path / "w4"))
-        emit_results(run_campaign(cfg_a, workers=1))
-        emit_results(run_campaign(cfg_b, workers=4))
+        emit_results(cfg_a, run_campaign(cfg_a, workers=1))
+        emit_results(cfg_b, run_campaign(cfg_b, workers=4))
         for name in ("summary.csv", "manifest.json",
                      "trials_degree_32.csv", "trials_degree_64.csv"):
             assert read(os.path.join(cfg_a.output_dir, name)) == read(
@@ -392,7 +401,7 @@ class TestEmit:
 
     def test_json_format_mirrors_csv_fields(self, tmp_path):
         cfg = small_config(tmp_path, format="json")
-        paths = emit_results(run_campaign(cfg))
+        paths = emit_results(cfg, run_campaign(cfg))
         rows = json.loads(read(paths["summary"]))
         assert len(rows) == 2
         assert set(SUMMARY_COLUMNS) <= set(rows[0])
@@ -401,7 +410,7 @@ class TestEmit:
 
     def test_empty_ladder_gives_header_only(self, tmp_path):
         cfg = small_config(tmp_path, degree_ladder=())
-        paths = emit_results(run_campaign(cfg))
+        paths = emit_results(cfg, run_campaign(cfg))
         lines = read(paths["summary"]).decode().splitlines()
         assert lines == [",".join(SUMMARY_COLUMNS)]
         assert os.path.exists(paths["manifest"])
@@ -435,7 +444,7 @@ class TestEmit:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_artifact_digests_are_pinned(self, tmp_path, fmt):
         cfg = small_config(tmp_path, format=fmt)
-        emit_results(run_campaign(cfg))
+        emit_results(cfg, run_campaign(cfg))
         for name in (f"summary.{fmt}", f"trials_degree_32.{fmt}", f"trials_degree_64.{fmt}"):
             digest = hashlib.sha256(read(os.path.join(cfg.output_dir, name))).hexdigest()
             assert digest == self.DIGESTS[name], name
@@ -453,6 +462,6 @@ class TestEmit:
                              alpha_exponent=Fraction(9, 10), epsilon=0.5, seed=6,
                              output_dir=str(tmp_path / "out"), format=fmt)
         summary = run_campaign(cfg)
-        assert [row.to_json_dict()["successful_trials"] for row in summary.degrees] == [0, 2]
-        paths = emit_results(summary)
+        assert [row.to_json_dict()["successful_trials"] for row in summary] == [0, 2]
+        paths = emit_results(cfg, summary)
         assert hashlib.sha256(read(paths["summary"])).hexdigest() == self.EMPTY_RUNG_DIGESTS[fmt]

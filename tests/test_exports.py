@@ -1,10 +1,15 @@
 """Public names: every `__all__` entry of every newmanlab module resolves, and so
-does every attribute the benchmark's tracer patches."""
+does every attribute the benchmark's tracer patches.  Every module-level import
+is read, and importing the CLI leaves the process pool unloaded."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,29 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", ())
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_module_import_is_read(name):
+    tree = ast.parse((Path(newmanlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    assert [alias for alias in imported if alias not in read] == []
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    """Only a campaign on several workers needs multiprocessing."""
+    src = str(Path(newmanlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, newmanlab.cli; "
+             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_trial_record_is_exported_once():
