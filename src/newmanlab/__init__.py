@@ -30,13 +30,13 @@ from .sparsify import (  # noqa: F401
     sample,
     split_coefficient,
     theorem_conclusion_check,
+    verify_hypothesis,
 )
 from .search import (  # noqa: F401
     SearchResult,
     SearchSpec,
     exhaustive_search,
     local_search,
-    verify_hypothesis,
 )
 from .experiment import (  # noqa: F401
     CampaignConfig,

@@ -2,10 +2,9 @@
 
 Candidates are canonicalized to have constant term and leading term both 1
 (shifts by powers of x never help the product at a fixed degree), and the
-exhaustive mode additionally halves the space using the fact that a
-polynomial and its reversal share every metric used here.  Beyond the
-exhaustive cap a seeded annealing walk over interior bit flips and swaps
-takes over.
+exhaustive mode always halves the space using the fact that a polynomial
+and its reversal share every metric used here.  Beyond the exhaustive cap a
+seeded annealing walk over interior bit flips and swaps takes over.
 
 Both modes square through `poly`.  The exhaustive mode takes interior
 patterns a block at a time as the columns of a 0/1 matrix, drops reversal
@@ -44,10 +43,8 @@ __all__ = [
     "DegreeBest",
     "SearchMetadata",
     "SearchResult",
-    "HypothesisCheck",
     "exhaustive_search",
     "local_search",
-    "verify_hypothesis",
 ]
 
 EXHAUSTIVE_DEGREE_CAP = 28
@@ -112,17 +109,13 @@ class SearchResult:
     metadata: SearchMetadata
 
     def to_json_dict(self) -> dict:
+        rows = [{"degree": row.degree, "polynomial": format_polynomial(row.polynomial),
+                 **row.report.to_json_dict()} for row in self.degree_table]
+        best_row = next(row for row in rows if row["degree"] == self.report.degree)
         return {
-            "best_polynomial": format_polynomial(self.best),
+            "best_polynomial": best_row["polynomial"],
             "best": self.report.to_json_dict(),
-            "degree_table": [
-                {
-                    "degree": row.degree,
-                    "polynomial": format_polynomial(row.polynomial),
-                    **row.report.to_json_dict(),
-                }
-                for row in self.degree_table
-            ],
+            "degree_table": rows,
             "metadata": {
                 "mode": self.metadata.mode,
                 "seed": self.metadata.seed,
@@ -190,15 +183,15 @@ def _result(table: list[DegreeBest], meta: SearchMetadata) -> SearchResult:
 _BLOCK = 1 << 13
 
 
-def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> SearchResult:
+def exhaustive_search(spec: SearchSpec) -> SearchResult:
     """Exact minimum of the product over canonical candidates in the range.
 
-    Candidates have constant and leading coefficient 1; with the symmetry
-    reduction on, an interior pattern is skipped whenever its reversal has a
-    smaller encoding (the reversal shares all metrics).  Interior patterns
-    are enumerated in increasing order, `_BLOCK` at a time, as the columns
-    of a 0/1 matrix that is filtered by boolean masks and squared at once;
-    of equal minima the first in that order is kept.
+    Candidates have constant and leading coefficient 1, and an interior
+    pattern is skipped whenever its reversal has a smaller encoding (the
+    reversal shares all metrics).  Interior patterns are enumerated in
+    increasing order, `_BLOCK` at a time, as the columns of a 0/1 matrix
+    that is filtered by boolean masks and squared at once; of equal minima
+    the first in that order is kept.
     """
     if spec.max_degree > EXHAUSTIVE_DEGREE_CAP:
         raise ValueError(f"exhaustive mode is capped at degree {EXHAUSTIVE_DEGREE_CAP}")
@@ -212,10 +205,8 @@ def exhaustive_search(spec: SearchSpec, use_reversal_symmetry: bool = True) -> S
         for start in range(0, 1 << width, _BLOCK):
             interiors = np.arange(start, min(start + _BLOCK, 1 << width))
             bits = (interiors >> shifts) & 1  # bits[j] is coefficient j + 1
-            keep = np.ones(len(interiors), dtype=bool)
-            if use_reversal_symmetry:
-                keep = reversed_weights @ bits >= interiors
-                meta.reversal_skipped += len(interiors) - int(keep.sum())
+            keep = reversed_weights @ bits >= interiors
+            meta.reversal_skipped += len(interiors) - int(keep.sum())
             l1 = bits.sum(axis=0) + 2
             dense = l1 >= incumbent.min_l1
             meta.density_rejected += int((keep & ~dense).sum())
@@ -339,24 +330,3 @@ def local_search(spec: SearchSpec) -> SearchResult:
         table.append(incumbent.row())  # the dense start is always feasible
     return _result(table, meta)
 
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    """Exact verdict on the density and scaled-ratio requirements."""
-
-    density_ok: bool
-    ratio_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.density_ok and self.ratio_ok
-
-
-def verify_hypothesis(p: NewmanPolynomial, c0: Fraction, rho: Fraction) -> HypothesisCheck:
-    """Check l1(p) >= c0*deg(p) and ratio(p) <= rho/deg(p), exactly."""
-    if p.degree == 0:
-        raise ValueError("degree 0 is degenerate for the scaled ratio")
-    return HypothesisCheck(
-        density_ok=p.l1 >= Fraction(c0) * p.degree,
-        ratio_ok=metrics(p).ratio <= Fraction(rho) / p.degree,
-    )

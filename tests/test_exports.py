@@ -52,12 +52,21 @@ def test_cli_import_does_not_load_the_process_pool():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
-def test_trial_record_is_exported_once():
-    from newmanlab import experiment, sparsify
+def test_exported_names_are_defined_where_listed():
+    """A class or function is listed only in the `__all__` of the module that
+    defines it, so a moved name cannot linger in a second list."""
+    from newmanlab import sparsify
 
+    misplaced = []
+    for name in MODULES:
+        module = importlib.import_module(f"newmanlab.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if (inspect.isclass(obj) or inspect.isroutine(obj)) and obj.__module__ != module.__name__:
+                misplaced.append((module.__name__, attr, obj.__module__))
+    assert misplaced == []
     assert newmanlab.TrialRecord is sparsify.TrialRecord
-    assert "TrialRecord" in sparsify.__all__
-    assert "TrialRecord" not in experiment.__all__
+    assert newmanlab.verify_hypothesis is sparsify.verify_hypothesis
 
 
 def test_benchmark_trace_points_resolve():

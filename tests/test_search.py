@@ -15,14 +15,19 @@ from newmanlab.search import (
     _Incumbent,
     exhaustive_search,
     local_search,
-    verify_hypothesis,
 )
+from newmanlab.sparsify import verify_hypothesis
 
 
 def canonical_candidates(degree: int) -> list[list[int]]:
     """Coefficients of every canonical candidate of one degree, in enumeration order."""
     return [[1] + [(interior >> j) & 1 for j in range(degree - 1)] + [1]
             for interior in range(1 << (degree - 1))]
+
+
+def reversal(interior: int, degree: int) -> int:
+    """The interior pattern of the reversed candidate."""
+    return int(f"{interior:0{degree - 1}b}"[::-1], 2)
 
 
 def naive_minimum(degree: int, floor: Fraction = Fraction(0)) -> Fraction:
@@ -62,24 +67,12 @@ class TestExhaustive:
         for degree in range(1, 15):
             assert by_degree[degree] == naive_minimum(degree)
 
-    def test_reversal_reduction_preserves_minima(self):
-        with_sym = exhaustive_search(SearchSpec(1, 12))
-        without = exhaustive_search(SearchSpec(1, 12), use_reversal_symmetry=False)
-        assert [r.report.product for r in with_sym.degree_table] == [
-            r.report.product for r in without.degree_table
-        ]
-        assert with_sym.metadata.reversal_skipped > 0
-        assert without.metadata.reversal_skipped == 0
-
     # floor * degree is a whole number at some degrees and not at others,
     # which exercises the ceiling taken on the term-count threshold.
     @pytest.mark.parametrize("floor", [Fraction(1), Fraction(2, 3), Fraction(1, 2)],
                              ids=["one", "two_thirds", "half"])
     def test_density_floor_keeps_only_dense_candidates(self, floor):
-        # Without the reversal reduction every canonical candidate is either
-        # rejected by the floor or examined, so the rejections can be counted.
-        res = exhaustive_search(SearchSpec(3, 8, density_floor=floor),
-                                use_reversal_symmetry=False)
+        res = exhaustive_search(SearchSpec(3, 8, density_floor=floor))
         for row in res.degree_table:
             assert row.report.l1 >= floor * row.degree  # feasibility
             assert row.report.product <= Fraction(row.degree, row.degree + 1)
@@ -87,16 +80,32 @@ class TestExhaustive:
         by_degree = {row.degree: row.report.product for row in res.degree_table}
         for degree in range(3, 9):
             assert by_degree[degree] == naive_minimum(degree, floor=floor)
+        # A canonical interior is skipped when its reversal encodes smaller;
+        # each of the others is either rejected by the floor or examined.
+        interiors = [(degree, interior) for degree in range(3, 9)
+                     for interior in range(1 << (degree - 1))]
+        skipped = sum(reversal(interior, degree) < interior for degree, interior in interiors)
         sparse = sum(
             Fraction(interior.bit_count() + 2) < floor * degree
-            for degree in range(3, 9)
-            for interior in range(1 << (degree - 1))
+            for degree, interior in interiors
+            if reversal(interior, degree) >= interior
         )
+        assert res.metadata.reversal_skipped == skipped
         assert res.metadata.density_rejected == sparse
+        assert res.metadata.candidates_examined == len(interiors) - skipped - sparse
 
     def test_density_rejections_counted(self):
         res = exhaustive_search(SearchSpec(6, 6, density_floor=Fraction(9, 10)))
         assert res.metadata.density_rejected > 0
+
+    def test_equal_products_resolve_to_the_lowest_degree(self):
+        # The minima of degrees 2 and 3 tie: 1 + x + x**2 and 1 + x + x**3 both
+        # have product 2/3.  Ranges from degree 1 never tie, as 1 + x has 1/2.
+        res = exhaustive_search(SearchSpec(2, 3))
+        assert [row.report.product for row in res.degree_table] == [Fraction(2, 3)] * 2
+        assert res.best == NewmanPolynomial([1, 1, 1])
+        assert res.report == res.degree_table[0].report
+        assert res.to_json_dict()["best_polynomial"] == "0,1,2"
 
     def test_deterministic(self):
         a = exhaustive_search(SearchSpec(1, 9))
