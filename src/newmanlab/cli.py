@@ -18,6 +18,7 @@ from .concentration import (
     tail_bound,
 )
 from .experiment import (
+    _text_lines,
     csv_text,
     emit_results,
     json_text,
@@ -55,7 +56,7 @@ def _add_thinning(parser: argparse.ArgumentParser) -> None:
 def _add_poly_source(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--poly", help="polynomial text")
-    group.add_argument("--poly-file", help="file containing the polynomial text")
+    group.add_argument("--poly-file", help="file with the polynomial on one line (# comments)")
     group.add_argument("--all-ones", type=int, metavar="N",
                        help="use 1 + x + ... + x**N")
     parser.add_argument("--poly-format", choices=("exponent_list", "bitstring"),
@@ -65,12 +66,12 @@ def _add_poly_source(parser: argparse.ArgumentParser) -> None:
 def _load_polynomial(args: argparse.Namespace) -> NewmanPolynomial:
     if args.all_ones is not None:
         return NewmanPolynomial.all_ones(args.all_ones)
-    if args.poly_file is not None:
-        with open(args.poly_file, "r", encoding="utf-8") as handle:
-            text = handle.read().strip()
-    else:
-        text = args.poly
-    return parse_polynomial(text, args.poly_format)
+    if args.poly_file is None:
+        return parse_polynomial(args.poly, args.poly_format)
+    lines = _text_lines(args.poly_file)
+    if len(lines) != 1:
+        raise ValueError(f"{args.poly_file}: expected one polynomial line, found {len(lines)}")
+    return parse_polynomial(lines[0][1], args.poly_format)
 
 
 def _cmd_square(args: argparse.Namespace) -> int:

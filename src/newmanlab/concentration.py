@@ -48,8 +48,6 @@ def tail_bound(epsilon: float, mean: float) -> float:
     Values above 1 are vacuous but returned as they are, so callers can see
     how far from useful the bound is; outputs clamp with min(1.0, bound).
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     if not 0 <= mean < math.inf:
         raise ValueError(f"mean must be nonnegative and finite, got {mean}")
     return 2.0 * math.exp(-c_epsilon(epsilon) * mean)

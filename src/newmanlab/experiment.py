@@ -72,17 +72,20 @@ MEAN_PROXY_DEN = 10 ** 12
 _FORMATS = ("csv", "json")
 
 
+def _text_lines(path: str) -> list[tuple[int, str]]:
+    """The numbered lines of a text file, with `#` comments and blank lines dropped."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(handle, 1)]
+    return [(n, line) for n, line in lines if line]
+
+
 def _polynomial_from_file(config: CampaignConfig, degree: int) -> NewmanPolynomial:
     """The first polynomial of the given degree in the family file."""
     assert config.family_file is not None
-    with open(config.family_file, "r", encoding="utf-8") as handle:
-        for raw in handle:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            p = parse_polynomial(line, "exponent_list")
-            if p.degree == degree:
-                return p
+    for _, line in _text_lines(config.family_file):
+        p = parse_polynomial(line, "exponent_list")
+        if p.degree == degree:
+            return p
     raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")
 
 
@@ -251,18 +254,14 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
     without the file's name, as the file is not at fault.
     """
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            values[key] = val.strip()
+    for lineno, line in _text_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = val.strip()
     config_fields = fields(CampaignConfig)
     unknown = set(values) - {f.name for f in config_fields}
     if unknown:

@@ -12,10 +12,12 @@ alpha is always an exact Fraction: 1/N**exponent itself when that is
 rational, otherwise the exact value of the float N**(-exponent) that the mask
 is drawn against.  All event thresholds are evaluated in exact rational
 arithmetic (a float epsilon is converted to the rational it represents)
-and cached per (p, config) in `_Cutoffs`.  `verify_hypothesis` checks the
-theorem's dense p; `theorem_conclusion_check` compares a clean trial with
-the exact amplification (1+eps)/(1-eps)**2 of the same epsilon, so its
-verdict follows from the flags by exact arithmetic.
+and cached per (p, config) in `_Cutoffs`.  Both sides of the theorem read
+p's `RatioReport`, `metrics(p)`, computed once by the caller, so neither
+squares p: `verify_hypothesis` checks the theorem's dense p, and
+`theorem_conclusion_check` compares a clean trial with the exact
+amplification (1+eps)/(1-eps)**2 of the same epsilon, so its verdict
+follows from the flags by exact arithmetic.
 `expectation_oracle` checks the expectation formulas by enumerating every
 mask of a small p, squaring each block of them with `poly._square_columns`.
 """
@@ -31,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, _square_columns, as_zero_one, metrics, square
+from .poly import NewmanPolynomial, RatioReport, _square_columns, as_zero_one, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -41,7 +43,6 @@ __all__ = [
     "TrialRecord",
     "SparsifyTrial",
     "CoefficientSplit",
-    "HypothesisCheck",
     "alpha_of",
     "sample",
     "expected_square_coeff",
@@ -366,26 +367,13 @@ def sample(
                          q_metrics=q_metrics, flags=flags, mask=KeepMask(bits))
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
-    """Exact verdict on the density and scaled-ratio requirements."""
-
-    density_ok: bool
-    ratio_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.density_ok and self.ratio_ok
-
-
-def verify_hypothesis(p: NewmanPolynomial, c0: Fraction, rho: Fraction) -> HypothesisCheck:
-    """Check l1(p) >= c0*deg(p) and ratio(p) <= rho/deg(p), exactly."""
-    if p.degree == 0:
+def verify_hypothesis(p_report: RatioReport, c0: Fraction, rho: Fraction) -> bool:
+    """Check l1(p) >= c0*deg(p) and ratio(p) <= rho/deg(p), exactly, on
+    `p_report` = `metrics(p)`, the report that `theorem_conclusion_check` reads."""
+    if p_report.degree == 0:
         raise ValueError("degree 0 is degenerate for the scaled ratio")
-    return HypothesisCheck(
-        density_ok=p.l1 >= Fraction(c0) * p.degree,
-        ratio_ok=metrics(p).ratio <= Fraction(rho) / p.degree,
-    )
+    return (p_report.l1 >= Fraction(c0) * p_report.degree
+            and p_report.ratio <= Fraction(rho) / p_report.degree)
 
 
 def theorem_conclusion_check(

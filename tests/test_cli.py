@@ -72,6 +72,21 @@ class TestSquare:
         code, out, _ = run(capsys, "square", "--poly-file", str(source))
         assert json.loads(out)["square"] == [1, 0, 2, 0, 1]
 
+    def test_poly_file_skips_comments(self, capsys, tmp_path):
+        source = tmp_path / "w.txt"
+        source.write_text("# header\n0,1,3\n")
+        code, out, _ = run(capsys, "ratio", "--poly-file", str(source))
+        payload = json.loads(out)
+        assert (code, payload["product_num"], payload["product_den"]) == (0, 2, 3)
+
+    @pytest.mark.parametrize("text, found", [("0,1\n0,2\n", 2), ("# no polynomial\n\n", 0)])
+    def test_poly_file_needs_one_line(self, capsys, tmp_path, text, found):
+        source = tmp_path / "poly.txt"
+        source.write_text(text)
+        code, out, err = run(capsys, "ratio", "--poly-file", str(source))
+        assert (code, out) == (1, "")
+        assert f"{source}: expected one polynomial line, found {found}" in err
+
     def test_parse_error_is_clean(self, capsys):
         code, _, err = run(capsys, "square", "--poly", "110",
                            "--poly-format", "bitstring")

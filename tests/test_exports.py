@@ -1,6 +1,7 @@
 """Public names: every `__all__` entry of every newmanlab module resolves, and so
 does every attribute the benchmark's tracer patches.  Every module-level import
-is read, and importing the CLI leaves the process pool unloaded."""
+is read, and importing the CLI leaves the process pool unloaded and loads no
+third-party module but numpy."""
 
 import ast
 import importlib
@@ -42,14 +43,28 @@ def test_every_module_import_is_read(name):
     assert [alias for alias in imported if alias not in read] == []
 
 
-def test_cli_import_does_not_load_the_process_pool():
-    """Only a campaign on several workers needs multiprocessing."""
+def run_probe(probe: str) -> tuple[int, str, str]:
+    """Run `probe` in a fresh interpreter that imports this newmanlab."""
     src = str(Path(newmanlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    """Only a campaign on several workers needs multiprocessing."""
     probe = ("import sys, newmanlab.cli; "
              "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+    assert run_probe(probe) == (0, "[]\n", "")
+
+
+def test_imports_only_the_standard_library_and_numpy():
+    """numpy is the only declared dependency, so importing the package and its
+    CLI loads no other top-level module from outside the standard library."""
+    probe = ("import sys; before = set(sys.modules); import newmanlab, newmanlab.cli; "
+             "allowed = set(sys.stdlib_module_names) | {'numpy', 'newmanlab'}; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} - allowed))")
+    assert run_probe(probe) == (0, "[]\n", "")
 
 
 def test_exported_names_are_defined_where_listed():

@@ -29,6 +29,7 @@ from newmanlab.sparsify import (
     sample,
     split_coefficient,
     theorem_conclusion_check,
+    verify_hypothesis,
 )
 
 RHO = Fraction(8, 9)
@@ -411,6 +412,65 @@ class TestSample:
                     vals.append(kept.size / kept[-1])
             means.append(np.mean(vals))
         assert means[0] > means[1] > means[2]
+
+
+class TestVerifyHypothesis:
+    def test_all_ones_is_tight(self):
+        for degree in (3, 10, 57):
+            p_report = metrics(NewmanPolynomial.all_ones(degree))
+            assert verify_hypothesis(p_report, Fraction(1), Fraction(degree, degree + 1)) is True
+
+    def test_sparse_fails_density(self):
+        # 1 + x**d has ratio 2/2**2 <= d/d, and only its l1 = 2 < d/2 fails:
+        # with c0 = 2/d it passes.
+        for degree in (5, 12, 100):
+            p_report = metrics(NewmanPolynomial.from_support([0, degree]))
+            assert verify_hypothesis(p_report, Fraction(1, 2), Fraction(degree)) is False
+            assert verify_hypothesis(p_report, Fraction(2, degree), Fraction(degree)) is True
+
+    def test_rho_below_trivial_bound_always_fails(self):
+        p_report = metrics(NewmanPolynomial.all_ones(9))
+        # rho/deg < 1/(2 deg + 1) <= ratio, so the ratio conjunct alone fails.
+        rho = Fraction(9, 19) - Fraction(1, 1000)
+        assert verify_hypothesis(p_report, Fraction(1), rho) is False
+        assert verify_hypothesis(p_report, Fraction(1), Fraction(1)) is True
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="degree 0"):
+            verify_hypothesis(metrics(NewmanPolynomial([1])), Fraction(1), Fraction(1))
+
+    def test_matches_the_definition_up_to_degree_ten(self):
+        for degree in range(1, 11):
+            for lower in range(1 << degree):
+                coeffs = [(lower >> j) & 1 for j in range(degree)] + [1]
+                p = NewmanPolynomial(coeffs)
+                p_report = metrics(p)
+                l1 = sum(coeffs)
+                height = int(square_oracle(p).max())
+                for c0 in (Fraction(1, 2), Fraction(1)):
+                    for rho in (Fraction(1, 2), Fraction(8, 9), Fraction(1)):
+                        expected = l1 >= c0 * degree and Fraction(height, l1 * l1) <= rho / degree
+                        assert verify_hypothesis(p_report, c0, rho) is expected, (coeffs, c0, rho)
+
+    def test_criterion_six_p_is_outside_the_hypothesis(self):
+        # Acceptance criterion 6 thins all_ones(N) with rho = 8/9, but its
+        # product N/(N+1) exceeds 8/9: density holds and the ratio does not.
+        for degree in (2 ** 10, 2 ** 14, 2 ** 18):
+            p_report = metrics(NewmanPolynomial.all_ones(degree))
+            assert p_report.product == Fraction(degree, degree + 1)
+            assert verify_hypothesis(p_report, Fraction(1), Fraction(8, 9)) is False
+            assert verify_hypothesis(p_report, Fraction(1), Fraction(1)) is True
+
+    def test_does_not_square_p(self, monkeypatch):
+        # Both sides of the theorem read the one report a caller computes.
+        p_report = metrics(NewmanPolynomial.all_ones(1024))
+
+        def no_square(*args, **kwargs):
+            raise AssertionError("verify_hypothesis squared a polynomial")
+
+        monkeypatch.setattr(newmanlab.sparsify, "square", no_square)
+        monkeypatch.setattr(newmanlab.poly, "square", no_square)
+        assert verify_hypothesis(p_report, Fraction(1, 2), Fraction(1)) is True
 
 
 class TestConclusion:
