@@ -80,10 +80,14 @@ def _text_lines(path: str) -> list[tuple[int, str]]:
 
 
 def _polynomial_from_file(config: CampaignConfig, degree: int) -> NewmanPolynomial:
-    """The first polynomial of the given degree in the family file."""
+    """The first polynomial of the given degree in the family file; a
+    malformed line is reported with its file and line number."""
     assert config.family_file is not None
-    for _, line in _text_lines(config.family_file):
-        p = parse_polynomial(line, "exponent_list")
+    for lineno, line in _text_lines(config.family_file):
+        try:
+            p = parse_polynomial(line, "exponent_list")
+        except ValueError as exc:
+            raise ValueError(f"{config.family_file}:{lineno}: {exc}") from exc
         if p.degree == degree:
             return p
     raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")

@@ -34,7 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import NewmanPolynomial, RatioReport, _square_columns, format_polynomial, metrics, square
+from .poly import (
+    NewmanPolynomial, RatioReport, _square_columns, _support, format_polynomial, metrics, square,
+)
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -166,7 +168,7 @@ class _Incumbent:
         if self._bits is None:
             return None
         coeffs = np.asarray(self._bits, dtype=np.uint8)
-        candidate = NewmanPolynomial._trusted(coeffs, np.flatnonzero(coeffs))
+        candidate = NewmanPolynomial._trusted(coeffs, _support(coeffs))
         return DegreeBest(self.degree, candidate, metrics(candidate, self._sq))
 
 
@@ -281,7 +283,7 @@ def local_search(spec: SearchSpec) -> SearchResult:
             rng = np.random.default_rng([spec.seed, degree, restart])
             coeffs = _random_start(rng, degree, spec.density_floor, incumbent.min_l1, restart)
             # int32 is exact: no coefficient of the square exceeds l1.
-            sq = square(NewmanPolynomial._trusted(coeffs, np.flatnonzero(coeffs))).astype(np.int32)
+            sq = square(NewmanPolynomial._trusted(coeffs, _support(coeffs))).astype(np.int32)
             bits = coeffs.tolist()
             twice = 2 * coeffs.astype(np.int32)
             interior = coeffs[1:degree]

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, _square_columns, as_zero_one, square
+from .poly import NewmanPolynomial, RatioReport, _square_columns, _support, as_zero_one, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -321,16 +321,19 @@ def _thin(
     """Keep the coefficients of p where bits is 1: (q report, flags).
 
     p and the bits that `sample` drew are 0/1 already, so q, built from
-    them, is not checked again.  An empty q has no report.
+    them, is not checked again.  An empty q has no report.  q**2 is scanned
+    for E_k only when its height is above the cutoff, as no coefficient
+    can overshoot otherwise.
     """
     q_coeffs = p.coefficients & bits
-    kept = np.flatnonzero(q_coeffs)
+    kept = _support(q_coeffs)
     report, overs = None, ()
     if kept.size:
         q = NewmanPolynomial._trusted(q_coeffs[: int(kept[-1]) + 1], kept)
         q_square = square(q)
         report = RatioReport(q.l1, q.degree, int(q_square.max()))
-        overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
+        if report.height > cutoffs.height:
+            overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
     flags = BadEventFlags(
         E=kept.size < cutoffs.low_mass,
         E_k_indices=overs,
@@ -360,7 +363,7 @@ def sample(
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    bits = (rng.random(p.degree + 1) < float(cutoffs.alpha)).astype(np.uint8)
+    bits = (rng.random(p.degree + 1) < float(cutoffs.alpha)).view(np.uint8)
     bits.setflags(write=False)
     q_metrics, flags = _thin(p, bits, cutoffs)
     return SparsifyTrial(trial_index=trial_index, trial_seed=trial_seed,

@@ -465,6 +465,18 @@ class TestExperiment:
         assert code == 1
         assert err == f"newman: error: {cfg}: seed must be a 64-bit unsigned integer\n"
 
+    def test_bad_family_line_names_the_file_and_line(self, capsys, tmp_path):
+        family = tmp_path / "family.txt"
+        family.write_text("# comment\n0,x,8\n0,3,8\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"family = from_file\nfamily_file = {family}\ndegree_ladder = 8\n"
+                       "trials_per_degree = 2\nepsilon = 0.3\n")
+        code, _, err = run(capsys, "experiment", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith(f"newman: error: {family}:2: bad exponent list '0,x,8': ")
+        assert err.count("\n") == 1
+
     def test_missing_config(self, capsys, tmp_path):
         code, _, err = run(capsys, "experiment", "--config",
                            str(tmp_path / "nope.cfg"))

@@ -95,6 +95,36 @@ class TestConstruction:
         assert not copy.support.flags.writeable
 
 
+# Nonempty 0/1 coefficient lists ending in 1.
+coefficient_lists = st.lists(st.integers(0, 1), max_size=63).map(lambda bits: bits + [1])
+
+
+def assert_support_invariant(p):
+    """p's support is a read-only int64 array of the indices of its ones."""
+    assert p.support.dtype == np.int64 and not p.support.flags.writeable
+    assert np.array_equal(p.support, np.flatnonzero(p.coefficients))
+
+
+class TestSupportInvariant:
+    @given(coefficient_lists, st.sampled_from([np.uint8, np.int8, np.bool_, np.float64]))
+    def test_constructor(self, bits, dtype):
+        assert_support_invariant(NewmanPolynomial(np.array(bits, dtype=dtype)))
+
+    @given(coefficient_lists)
+    def test_every_other_construction_path(self, bits):
+        p = NewmanPolynomial(bits)
+        built = [
+            NewmanPolynomial.from_support(np.flatnonzero(bits).tolist()),
+            parse_polynomial("".join(map(str, bits)), "bitstring"),
+            parse_polynomial(format_polynomial(p), "exponent_list"),
+            pickle.loads(pickle.dumps(p)),
+        ]
+        for q in built:
+            assert q == p
+            assert_support_invariant(q)
+        assert_support_invariant(NewmanPolynomial.all_ones(len(bits) - 1))
+
+
 class TestParseFormat:
     def test_bitstring_example(self):
         p = parse_polynomial("111", "bitstring")
@@ -249,6 +279,24 @@ class TestFFTCertificate:
             return raw
 
         monkeypatch.setattr(np.fft, "irfft", off_by_four_tenths)
+        with pytest.raises(ArithmeticError, match="rounding residual"):
+            square(NewmanPolynomial.all_ones(100))
+
+    # Rounding a NaN into the int64 result warns before the guard sees it.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("perturb", [
+        pytest.param(lambda value: np.nan, id="nan"),
+        pytest.param(lambda value: value - 0.4, id="minus-four-tenths"),
+    ])
+    def test_bad_value_at_one_index_raises(self, monkeypatch, perturb):
+        real_irfft = np.fft.irfft
+
+        def perturbed(*args, **kwargs):
+            raw = real_irfft(*args, **kwargs)
+            raw[100] = perturb(raw[100])
+            return raw
+
+        monkeypatch.setattr(np.fft, "irfft", perturbed)
         with pytest.raises(ArithmeticError, match="rounding residual"):
             square(NewmanPolynomial.all_ones(100))
 

@@ -31,6 +31,7 @@ from newmanlab.sparsify import (
     theorem_conclusion_check,
     verify_hypothesis,
 )
+from newmanlab.sparsify import _Cutoffs, _thin
 
 RHO = Fraction(8, 9)
 RHO_PRIME = Fraction(19, 20)
@@ -295,6 +296,48 @@ class TestBadEvents:
         assert not trial.mask.bits.any()
         assert trial.flags.E and trial.flags.D
         assert not trial.flags.E_k_any
+
+
+class TestThin:
+    @staticmethod
+    def thin_with_height_cutoff(below_height):
+        """_thin of a fixed p and mask, with the E_k cutoff `below_height`
+        under height(q**2): (q**2 by the oracle, flags)."""
+        p = NewmanPolynomial.all_ones(200)
+        bits = (np.random.default_rng(30).random(201) < 0.5).view(np.uint8)
+        q_square = square_oracle(masked_polynomial(p, bits))
+        cutoffs = _Cutoffs(alpha=Fraction(1, 2), low_mass=Fraction(0),
+                           height=int(q_square.max()) - below_height, degree=Fraction(0))
+        return q_square, _thin(p, bits, cutoffs)[1]
+
+    def test_no_overshoot_at_a_cutoff_equal_to_the_height(self):
+        _, flags = self.thin_with_height_cutoff(0)
+        assert flags.E_k_indices == () and not flags.E_k_any
+
+    def test_every_peak_overshoots_a_cutoff_one_below_the_height(self):
+        q_square, flags = self.thin_with_height_cutoff(1)
+        assert flags.E_k_indices == tuple(np.flatnonzero(q_square == q_square.max()).tolist())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 1), min_size=1, max_size=63).map(lambda bits: bits + [1]),
+           st.integers(0, 2 ** 64 - 1))
+    def test_mask_and_q_keep_their_invariants(self, bits, seed):
+        # The mask is read-only uint8 0/1, and q, caught on its way to
+        # square(), has a read-only int64 support of its ones.
+        p = NewmanPolynomial(bits)
+        squared = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(newmanlab.sparsify, "square", lambda q: squared.append(q) or square(q))
+            trial = sample(p, SparsifyConfig(epsilon=0.3, seed=seed), 0,
+                           p_square_height=int(square(p).max()))
+        mask = trial.mask.bits
+        assert mask.dtype == np.uint8 and not mask.flags.writeable
+        assert set(mask.tolist()) <= {0, 1}
+        assert [q.coefficients.tolist() for q in squared] == (
+            [] if trial.is_empty else [masked_polynomial(p, mask).coefficients.tolist()])
+        for q in squared:
+            assert q.support.dtype == np.int64 and not q.support.flags.writeable
+            assert np.array_equal(q.support, np.flatnonzero(q.coefficients))
 
 
 class TestSample:
