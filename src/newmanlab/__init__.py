@@ -19,16 +19,14 @@ from .concentration import (  # noqa: F401
 )
 from .sparsify import (  # noqa: F401
     BadEventFlags,
-    CoefficientSplit,
     KeepMask,
     SparsifyConfig,
     SparsifyTrial,
     TrialRecord,
     alpha_of,
     expectation_oracle,
-    expected_square_coeff,
+    pair_counts,
     sample,
-    split_coefficient,
     theorem_conclusion_check,
     verify_hypothesis,
 )

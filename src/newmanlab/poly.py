@@ -28,10 +28,11 @@ next square reuses them.  Buffers above 32 MiB, glibc's 64-bit maximum
 threshold (squares above degree about 2**21), are still mapped afresh.
 No arithmetic depends on it, and it does nothing off glibc.
 
-Coefficients are checked once, by the `NewmanPolynomial` constructor;
-polynomials derived from checked ones skip it via `_trusted`, and so does
-`all_ones`, which builds its coefficient and support arrays itself.  Every
-support is found by `_support`, a scan of the coefficients' bool view.
+Coefficients are checked once, by the `NewmanPolynomial` constructor (the
+values as given, before the uint8 cast); polynomials derived from checked
+ones skip it via `_trusted`, and so does `all_ones`, which builds its
+coefficient and support arrays itself.  Every support is found by
+`_support`, a scan of the coefficients' bool view.
 
 `metrics(p)` is p's `RatioReport`: it is made from the term count, degree
 and square height alone and computes the exact ratios from them.
@@ -75,7 +76,14 @@ class NewmanPolynomial:
     __slots__ = ("_coeffs", "_support")
 
     def __init__(self, coefficients: Sequence[int] | np.ndarray):
-        coeffs = as_zero_one(coefficients, "coefficients")
+        # The values are checked as given, before the narrowing cast, so
+        # values that the cast would turn into 0 or 1 (256, 0.5) are rejected.
+        arr = np.asarray(coefficients)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("coefficients must be a nonempty one-dimensional sequence")
+        if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
+            raise ValueError("coefficients must all be 0 or 1")
+        coeffs = arr.astype(np.uint8)
         if coeffs[-1] != 1:
             raise ValueError("leading coefficient must be 1 (no trailing zeros)")
         self._adopt(coeffs, _support(coeffs))
@@ -201,20 +209,6 @@ def _support(coeffs: np.ndarray) -> np.ndarray:
     `coeffs` must hold nothing else.
     """
     return np.flatnonzero(coeffs.view(np.bool_)).astype(np.int64, copy=False)
-
-
-def as_zero_one(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
-    """A fresh uint8 copy of `values`, after checking each one is 0 or 1.
-
-    The check runs on the values as given, before the narrowing cast, so
-    values that the cast would turn into 0 or 1 (256, 0.5) are rejected.
-    """
-    arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{what} must be a nonempty one-dimensional sequence")
-    if arr.dtype.kind not in "biuf" or not ((arr == 0) | (arr == 1)).all():
-        raise ValueError(f"{what} must all be 0 or 1")
-    return arr.astype(np.uint8)
 
 
 def parse_polynomial(text: str, format: str = "exponent_list") -> NewmanPolynomial:

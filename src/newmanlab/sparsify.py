@@ -18,8 +18,11 @@ squares p: `verify_hypothesis` checks the theorem's dense p, and
 `theorem_conclusion_check` compares a clean trial with the exact
 amplification (1+eps)/(1-eps)**2 of the same epsilon, so its verdict
 follows from the flags by exact arithmetic.
-`expectation_oracle` checks the expectation formulas by enumerating every
-mask of a small p, squaring each block of them with `poly._square_columns`.
+`pair_counts` splits every squared coefficient of p at once into its
+unordered pairs {j, k-j} and its diagonal term, the independent parts that
+thinning keeps with probability alpha**2 and alpha; `expectation_oracle`
+checks the means they give by enumerating every mask of a small p,
+squaring each block of them with `poly._square_columns`.
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, _square_columns, _support, as_zero_one, square
+from .poly import NewmanPolynomial, RatioReport, _square_columns, _support, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -42,12 +45,10 @@ __all__ = [
     "BadEventFlags",
     "TrialRecord",
     "SparsifyTrial",
-    "CoefficientSplit",
     "alpha_of",
     "sample",
-    "expected_square_coeff",
+    "pair_counts",
     "expectation_oracle",
-    "split_coefficient",
     "verify_hypothesis",
     "theorem_conclusion_check",
 ]
@@ -194,46 +195,26 @@ class SparsifyTrial(TrialRecord):
     mask: KeepMask
 
 
-@dataclass(frozen=True)
-class CoefficientSplit:
-    """One squared coefficient of q split into two halves and a diagonal.
+def pair_counts(p: NewmanPolynomial, p_square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split every squared coefficient of p into pairs and a diagonal term.
 
-    Each half is a sum of independent products kept_j * kept_{k-j}: `first`
-    over max(0, k-N) <= j < k/2, `second` over k/2 < j <= min(k, N).  The
-    halves mirror each other (j <-> k-j), so they are equal for every mask;
-    they are summed separately so that a check can compare them.
-    `diagonal` is the kept term at j = k/2 for even k, and 0 for odd k.
+    `p_square` is `square(p)`.  Returns (pairs, diagonal), two int64 arrays
+    of length 2N+1: `diagonal[k]` is p_{k/2} at even k and 0 at odd k, and
+    `pairs[k]` counts the unordered pairs j < k-j with both terms in
+    supp(p), so p_square = 2*pairs + diagonal.  Thinning p keeps a pair
+    with probability alpha**2 and the diagonal term with probability alpha,
+    independently, so E[(q**2)_k] = 2*alpha**2*pairs[k] + alpha*diagonal[k].
+    Raises ValueError if `p_square` has the wrong length or leaves an odd
+    remainder, either of which shows it is not the square of p.
     """
-
-    first: int
-    second: int
-    diagonal: int
-
-    @property
-    def total(self) -> int:
-        return self.first + self.second + self.diagonal
-
-
-def expected_square_coeff(
-    p: NewmanPolynomial,
-    alpha: Fraction,
-    k: int,
-    square_coeffs: Optional[np.ndarray] = None,
-) -> tuple[Fraction, Fraction]:
-    """Mean of the k-th squared coefficient of the thinned polynomial.
-
-    Returns (value, theta): for odd k the value is alpha**2 * (p**2)_k and
-    theta is 0; for even k the diagonal term contributes the correction
-    theta = alpha*(1-alpha)*p_{k/2}**2 on top of alpha**2 * (p**2)_k.
-    """
-    if not 0 <= k <= 2 * p.degree:
-        raise ValueError(f"k must lie in 0..{2 * p.degree}")
-    sq = square(p) if square_coeffs is None else square_coeffs
-    base = alpha * alpha * int(sq[k])
-    if k % 2 == 1:
-        return base, Fraction(0)
-    theta = alpha * (1 - alpha) * int(p.coefficients[k // 2]) ** 2
-    return base + theta, theta
+    diagonal = np.zeros(2 * p.degree + 1, dtype=np.int64)
+    if len(p_square) != len(diagonal):
+        raise ValueError(f"p_square must hold the {len(diagonal)} coefficients of p**2")
+    diagonal[::2] = p.coefficients
+    twice_pairs = p_square - diagonal
+    if (twice_pairs % 2).any():
+        raise ValueError("p_square is not the square of p: p_square - diagonal is odd")
+    return twice_pairs // 2, diagonal
 
 
 def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fraction], Fraction]:
@@ -266,27 +247,6 @@ def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fract
     means = [Fraction(sum(map(int.__mul__, row, odds)), b ** n)
              for row in totals.astype(np.int64).tolist()]
     return means[:-1], means[-1]
-
-
-def split_coefficient(
-    p: NewmanPolynomial,
-    bits: Sequence[int] | np.ndarray,
-    k: int,
-) -> CoefficientSplit:
-    """Split the k-th squared coefficient of p thinned by the 0/1 keep `bits`
-    (one per index 0..N) into its independent parts."""
-    N = p.degree
-    if not 0 <= k <= 2 * N:
-        raise ValueError(f"k must lie in 0..{2 * N}")
-    bits = as_zero_one(bits, "mask bits")
-    if len(bits) != N + 1:
-        raise ValueError("mask length must equal degree + 1")
-    kept = (p.coefficients & bits).tolist()
-    half = k // 2
-    first = sum(kept[j] * kept[k - j] for j in range(max(0, k - N), half + k % 2))
-    second = sum(kept[j] * kept[k - j] for j in range(half + 1, min(k, N) + 1))
-    diagonal = 0 if k % 2 else kept[half]
-    return CoefficientSplit(first=first, second=second, diagonal=diagonal)
 
 
 # ---------------------------------------------------------------------------

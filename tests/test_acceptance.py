@@ -22,11 +22,7 @@ from newmanlab.poly import (
     square_oracle,
 )
 from newmanlab.search import SearchSpec, exhaustive_search
-from newmanlab.sparsify import (
-    expectation_oracle,
-    expected_square_coeff,
-    split_coefficient,
-)
+from newmanlab.sparsify import expectation_oracle, pair_counts
 
 MASTER_SEED = 20080613
 LADDER = (2 ** 10, 2 ** 14, 2 ** 18)
@@ -114,48 +110,50 @@ def test_criterion_03_expectation_identities():
     comparisons = 0
     for degree in range(0, 11):
         for p in every_polynomial(degree):
-            sq = square(p)
+            pairs, diagonal = pair_counts(p, square(p))
             for alpha in alphas:
                 enumerated, _ = expectation_oracle(p, alpha)
                 for k in range(2 * degree + 1):
-                    value, theta = expected_square_coeff(p, alpha, k, square_coeffs=sq)
                     comparisons += 1
-                    if value != enumerated[k]:
-                        mismatches += 1
-                    if k % 2 == 0 and not 0 <= theta < 1:
+                    if 2 * alpha * alpha * int(pairs[k]) + alpha * int(diagonal[k]) != enumerated[k]:
                         mismatches += 1
     report(3, mismatches == 0,
-           f"parity-split formula == full mask enumeration over {comparisons} "
-           f"(p, alpha, k) cases; {mismatches} mismatches")
+           f"2 alpha^2 pairs_k + alpha diagonal_k == full mask enumeration over "
+           f"{comparisons} (p, alpha, k) cases; {mismatches} mismatches")
 
 
 def test_criterion_04_split_reconstruction_and_symmetry():
     rng = np.random.default_rng(MASTER_SEED + 4)
     failures = 0
     checked = 0
-    for _ in range(500):
+    thinned = 0
+    while thinned < 500:
         degree = int(rng.integers(1, 51))
         bits = (rng.random(degree + 1) < 0.5).astype(np.uint8)
         bits[-1] = 1
         p = NewmanPolynomial(bits)
         mask = (rng.random(degree + 1) < 0.5).astype(np.uint8)
-        kept = p.support[mask[p.support] == 1]
-        if kept.size:
-            q = NewmanPolynomial((p.coefficients & mask)[: int(kept[-1]) + 1])
-            q_sq = square(q)
-        else:
-            q_sq = None
-        for k in map(int, rng.integers(0, 2 * degree + 1, size=20)):
-            checked += 1
-            s = split_coefficient(p, mask, k)
-            expected = q_sq[k] if q_sq is not None and k <= len(q_sq) - 1 else 0
-            if s.total != expected:
-                failures += 1
-            if k % 2 == 1 and s.first != s.second:
-                failures += 1
+        kept = p.support[mask[p.support] == 1].tolist()
+        if not kept:
+            continue
+        thinned += 1
+        q = NewmanPolynomial((p.coefficients & mask)[: kept[-1] + 1])
+        # Count the unordered pairs {i, j}, i < j, and the diagonal terms
+        # of q directly, term by term.
+        direct_pairs = [0] * (2 * q.degree + 1)
+        direct_diagonal = [0] * (2 * q.degree + 1)
+        for a, i in enumerate(kept):
+            direct_diagonal[2 * i] = 1
+            for j in kept[a + 1:]:
+                direct_pairs[i + j] += 1
+        pairs, diagonal = pair_counts(q, square(q))
+        checked += len(direct_pairs)
+        failures += sum(map(int.__ne__, pairs.tolist(), direct_pairs))
+        failures += sum(map(int.__ne__, diagonal.tolist(), direct_diagonal))
     report(4, failures == 0,
-           f"split parts reconstruct the squared coefficient and halves agree for "
-           f"odd k on {checked} random (p, mask, k); {failures} failures")
+           f"pair_counts(q, square(q)) matches the pairs and diagonal counted term by "
+           f"term at every k of {thinned} random thinned q ({checked} coefficients); "
+           f"{failures} failures")
 
 
 def test_criterion_05_chernoffs_hold_empirically():

@@ -43,6 +43,8 @@ class TestConstruction:
         [0.5, 1.0],          # truncates to [0, 1] under an integer cast
         [float("nan"), 1.0],
         ["0", "1"],
+        [-1, 1],             # wraps to [255, 1] under a uint8 cast
+        [[0, 1]],            # two-dimensional
     ])
     def test_rejects_values_a_cast_would_hide(self, bad):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Thinning trials: expectations, splits, bad events, determinism."""
+"""Thinning trials: expectations, pair counts, bad events, determinism."""
 
 import math
 from fractions import Fraction
@@ -25,9 +25,8 @@ from newmanlab.sparsify import (
     TrialRecord,
     alpha_of,
     expectation_oracle,
-    expected_square_coeff,
+    pair_counts,
     sample,
-    split_coefficient,
     theorem_conclusion_check,
     verify_hypothesis,
 )
@@ -40,6 +39,12 @@ RHO_PRIME = Fraction(19, 20)
 def masked_polynomial(p, bits):
     kept = [int(j) for j in p.support if bits[j]]
     return NewmanPolynomial.from_support(kept) if kept else None
+
+
+def exact_means(p, alpha):
+    """E[(q**2)_k] for k = 0..2N, as 2*alpha**2*pairs + alpha*diagonal."""
+    pairs, diagonal = pair_counts(p, square(p))
+    return [2 * alpha * alpha * c + alpha * d for c, d in zip(pairs.tolist(), diagonal.tolist())]
 
 
 class TestAlphaOf:
@@ -119,7 +124,7 @@ class TestConfig:
 
 
 class TestKeepMask:
-    """Keep bits given by a user: `split_coefficient` checks them at entry."""
+    """Keep bits given by a user become q through the constructor's 0/1 check."""
 
     @pytest.mark.parametrize("bad", [
         np.array([256, 1]),  # wraps to [0, 1] under a uint8 cast
@@ -130,50 +135,42 @@ class TestKeepMask:
         [[0, 1]],
     ])
     def test_rejects_non_bits(self, bad):
-        with pytest.raises(ValueError, match="mask bits must"):
-            split_coefficient(parse_polynomial("11", "bitstring"), bad, 1)
+        with pytest.raises(ValueError, match="coefficients must"):
+            NewmanPolynomial(bad)
 
     def test_accepts_ints_and_bools(self):
-        p = parse_polynomial("111", "bitstring")
-        for k in range(5):
-            assert (split_coefficient(p, [1, 0, 1], k)
-                    == split_coefficient(p, [True, False, True], k)
-                    == split_coefficient(p, np.array([1, 0, 1], dtype=np.uint8), k))
-        assert split_coefficient(p, [1, 0, 1], 2).total == 2
+        def split(bits):
+            q = NewmanPolynomial(bits)
+            return pair_counts(q, square(q))
+
+        pairs, diagonal = split([1, 0, 1])
+        for other in (split([True, False, True]),
+                      split(np.array([1, 0, 1], dtype=np.uint8))):
+            assert pairs.tolist() == other[0].tolist()
+            assert diagonal.tolist() == other[1].tolist()
+        assert 2 * pairs[2] + diagonal[2] == 2  # (q^2)_2 of 1 + x^2: the pair {0, 2}
 
 
 class TestExpectations:
     def test_odd_k_two_bits(self):
         p = parse_polynomial("11", "bitstring")
-        value, theta = expected_square_coeff(p, Fraction(1, 2), 1)
-        assert value == Fraction(1, 2)
-        assert theta == 0
+        assert exact_means(p, Fraction(1, 2))[1] == Fraction(1, 2)
 
     def test_even_k_zero_is_alpha(self):
         p = parse_polynomial("11", "bitstring")
         for alpha in (Fraction(1, 2), Fraction(2, 7), Fraction(9, 10)):
-            value, theta = expected_square_coeff(p, alpha, 0)
-            assert value == alpha  # (q^2)_0 is the kept constant bit itself
-            assert theta == alpha * (1 - alpha)
+            assert exact_means(p, alpha)[0] == alpha  # (q^2)_0 is the kept constant bit itself
 
     def test_even_k_three_terms(self):
         # E[2 e0 e2 + e1] at alpha = 1/2: confirmed by the 8-mask enumeration.
         p = parse_polynomial("111", "bitstring")
-        value, theta = expected_square_coeff(p, Fraction(1, 2), 2)
-        assert value == 1
-        assert theta == Fraction(1, 4)
+        assert exact_means(p, Fraction(1, 2))[2] == 1
         assert expectation_oracle(p, Fraction(1, 2))[0][2] == 1
 
     def test_oracle_two_term_example(self):
         p = parse_polynomial("0,3")
         assert expectation_oracle(p, Fraction(1, 3))[0][3] == Fraction(2, 9)
-        value, _ = expected_square_coeff(p, Fraction(1, 3), 3)
-        assert value == Fraction(2, 9)
-
-    def test_k_out_of_range(self):
-        p = parse_polynomial("111", "bitstring")
-        with pytest.raises(ValueError):
-            expected_square_coeff(p, Fraction(1, 2), 5)
+        assert exact_means(p, Fraction(1, 3))[3] == Fraction(2, 9)
 
     @pytest.mark.parametrize("alpha", [Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)])
     def test_formula_matches_enumeration_degree_le_6(self, alpha):
@@ -181,11 +178,7 @@ class TestExpectations:
             for bits in range(1 << degree):
                 coeffs = [(bits >> j) & 1 for j in range(degree)] + [1]
                 p = NewmanPolynomial(coeffs)
-                sq = square(p)
-                oracle, _ = expectation_oracle(p, alpha)
-                for k in range(2 * degree + 1):
-                    value, _ = expected_square_coeff(p, alpha, k, square_coeffs=sq)
-                    assert value == oracle[k], (coeffs, k, alpha)
+                assert exact_means(p, alpha) == expectation_oracle(p, alpha)[0], (coeffs, alpha)
 
     @given(
         st.sets(st.integers(min_value=0, max_value=8), min_size=1),
@@ -195,12 +188,7 @@ class TestExpectations:
     @settings(max_examples=40, deadline=None)
     def test_formula_matches_enumeration_random(self, sup, alpha):
         p = NewmanPolynomial.from_support(sup)
-        oracle, _ = expectation_oracle(p, alpha)
-        for k in range(2 * p.degree + 1):
-            value, theta = expected_square_coeff(p, alpha, k)
-            assert value == oracle[k]
-            if k % 2 == 0:
-                assert 0 <= theta < 1
+        assert exact_means(p, alpha) == expectation_oracle(p, alpha)[0]
 
     @given(
         st.sets(st.integers(min_value=0, max_value=10), min_size=1),
@@ -225,22 +213,20 @@ class TestExpectations:
         p = NewmanPolynomial(bits)
         alpha = Fraction(2, 7)
         oracle, mass = expectation_oracle(p, alpha)
-        sq = square(p)
-        assert oracle == [expected_square_coeff(p, alpha, k, square_coeffs=sq)[0]
-                          for k in range(31)]
+        assert oracle == exact_means(p, alpha)
         assert mass == alpha * p.l1
 
     def test_oracle_squares_by_itself(self, monkeypatch):
         p = parse_polynomial("1101", "bitstring")
         alpha = Fraction(1, 3)
-        formula = [expected_square_coeff(p, alpha, k)[0] for k in range(7)]
+        formula = exact_means(p, alpha)
 
         def no_square(*args, **kwargs):
             raise AssertionError("the oracle used a squaring routine")
 
         monkeypatch.setattr(newmanlab.sparsify, "square", no_square)
         monkeypatch.setattr(newmanlab.poly, "square", no_square)
-        monkeypatch.setattr(newmanlab.sparsify, "expected_square_coeff", no_square)
+        monkeypatch.setattr(newmanlab.sparsify, "pair_counts", no_square)
         assert expectation_oracle(p, alpha) == (formula, alpha * 3)
 
     def test_enumeration_cap(self):
@@ -249,42 +235,50 @@ class TestExpectations:
 
 
 class TestSplit:
+    """`pair_counts`: each (p**2)_k split into unordered pairs and a diagonal term."""
+
     def test_hand_convolution_1111(self):
         p = parse_polynomial("1111", "bitstring")
-        s = split_coefficient(p, np.ones(4, dtype=np.uint8), 3)
-        assert (s.first, s.second, s.diagonal) == (2, 2, 0)
-        assert s.total == square(p)[3] == 4
+        pairs, diagonal = pair_counts(p, square(p))
+        assert pairs.tolist() == [0, 1, 1, 2, 1, 1, 0]
+        assert diagonal.tolist() == [1, 0, 1, 0, 1, 0, 1]
 
     def test_even_diagonal_vanishes_without_center_term(self):
         p = parse_polynomial("0,3")  # p_2 = 0
-        s = split_coefficient(p, np.ones(4, dtype=np.uint8), 4)
-        assert s.diagonal == 0
+        pairs, diagonal = pair_counts(p, square(p))
+        assert diagonal.tolist() == [1, 0, 0, 0, 0, 0, 1]
+        assert pairs.tolist() == [0, 0, 0, 1, 0, 0, 0]
 
     def test_errors(self):
-        p = parse_polynomial("111", "bitstring")
-        with pytest.raises(ValueError):
-            split_coefficient(p, np.ones(3, dtype=np.uint8), 5)
-        with pytest.raises(ValueError):
-            split_coefficient(p, np.ones(2, dtype=np.uint8), 1)
+        p = parse_polynomial("0,2")
+        with pytest.raises(ValueError, match="must hold the 5 coefficients"):
+            pair_counts(p, square(p)[:-1])
+        # (1 + x + x**2)**2 has p's length, but leaves 3 at k = 2.
+        with pytest.raises(ValueError, match="not the square of p"):
+            pair_counts(p, square(parse_polynomial("111", "bitstring")))
 
-    @given(st.data())
+    @given(st.sets(st.integers(min_value=0, max_value=60), min_size=1),
+           st.integers(min_value=0, max_value=120))
     @settings(max_examples=60, deadline=None)
-    def test_reconstruction_and_half_symmetry(self, data):
-        sup = data.draw(st.sets(st.integers(min_value=0, max_value=50), min_size=1))
+    def test_pairs_and_diagonal_rebuild_the_square(self, sup, moved):
         p = NewmanPolynomial.from_support(sup)
-        bits = data.draw(
-            st.lists(st.integers(0, 1), min_size=p.degree + 1, max_size=p.degree + 1)
-        )
-        q = masked_polynomial(p, bits)
-        q_sq = square(q) if q is not None else None
-        for k in range(2 * p.degree + 1):
-            s = split_coefficient(p, bits, k)
-            if q_sq is not None and k <= 2 * q.degree:
-                assert s.total == q_sq[k]
-            else:
-                assert s.total == 0
-            # j <-> k-j maps each half onto the other, at odd and even k.
-            assert s.first == s.second
+        p_square = square_oracle(p)
+        pairs, diagonal = pair_counts(p, p_square)
+        assert pairs.dtype == diagonal.dtype == np.int64
+        assert np.array_equal(2 * pairs + diagonal, p_square)
+        assert (pairs >= 0).all()
+        # The unordered pairs, counted from the support directly.
+        i, j = np.triu_indices(p.l1, 1)
+        assert np.array_equal(pairs, np.bincount(p.support[i] + p.support[j],
+                                                 minlength=2 * p.degree + 1))
+        with pytest.raises(ValueError):
+            pair_counts(p, p_square[:-1])
+        with pytest.raises(ValueError):
+            pair_counts(p, np.append(p_square, 0))
+        off_by_one = p_square.copy()
+        off_by_one[moved % len(p_square)] += 1
+        with pytest.raises(ValueError):
+            pair_counts(p, off_by_one)
 
 
 class TestBadEvents:
@@ -352,10 +346,14 @@ class TestSample:
         assert a.q_metrics == b.q_metrics
 
     def test_mask_is_trusted_and_frozen(self, monkeypatch):
-        # sample() draws its bits 0/1 itself, so it skips the public check.
+        # sample() draws its bits 0/1 itself, so q skips the constructor's check.
         p = NewmanPolynomial.all_ones(300)
         cfg = SparsifyConfig(rho=RHO, rho_prime=RHO_PRIME, seed=11)
-        monkeypatch.setattr(newmanlab.sparsify, "as_zero_one", None)
+
+        def checked(*args, **kwargs):
+            raise AssertionError("sample built q through the checked constructor")
+
+        monkeypatch.setattr(newmanlab.poly.NewmanPolynomial, "__init__", checked)
         mask = sample(p, cfg, 0).mask
         monkeypatch.undo()
         assert mask.bits.dtype == np.uint8 and not mask.bits.flags.writeable
