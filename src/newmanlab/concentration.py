@@ -4,7 +4,7 @@ Provides the explicit exponent c(eps), the two-sided tail bound
 `tail_bound(epsilon, mean)` = 2*exp(-c(eps)*mean), the specialization of
 that bound to the thinned-mass event driven by N**(1 - exponent), and the
 rule that picks the largest deviation parameter compatible with a target
-amplification of the ratio product.
+amplification of the ratio product, by an exact bisection over the floats.
 """
 
 from __future__ import annotations
@@ -87,24 +87,22 @@ def exact_amplification(epsilon: float) -> Fraction:
 # Cached: every config with a (rho, rho_prime) pair asks for it, often for the same pair.
 @lru_cache
 def choose_epsilon(rho: Fraction | str | float, rho_prime: Fraction | str | float) -> float:
-    """Pick the largest eps in (0, 1) with (1+eps)/(1-eps)**2 * rho <= rho_prime.
+    """The largest float eps in (0, 1) with (1+eps)/(1-eps)**2 * rho <= rho_prime.
 
-    The boundary satisfies r*eps**2 - (2r+1)*eps + (r-1) = 0 with
-    r = rho_prime/rho; the relevant root is the one in (0, 1).  The float
-    returned is nudged down, if necessary, to the largest value for which
-    the inequality holds exactly in rational arithmetic.
+    The amplification grows with eps, so a bisection over the floats in [0, 1]
+    finds it, deciding each midpoint by the exact rational inequality, in at
+    most about 1100 halvings: 58 for (8/9, 19/20), 104 for rho'/rho = 1 + 1e-15.
     """
     frho = Fraction(rho)
     frho_prime = Fraction(rho_prime)
     if not 0 < frho < frho_prime <= 1:
         raise ValueError("need 0 < rho < rho_prime <= 1")
-    r = float(frho_prime / frho)
-    eps = ((2.0 * r + 1.0) - math.sqrt(8.0 * r + 1.0)) / (2.0 * r)
-    # Largest float satisfying the exact inequality.  The root rounds to 1.0
-    # once r reaches about 5e32, so start below 1.
-    eps = min(eps, math.nextafter(1.0, 0.0))
-    while eps > 0 and exact_amplification(eps) * frho > frho_prime:
-        eps = math.nextafter(eps, 0.0)
-    if not 0.0 < eps < 1.0:
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if exact_amplification(mid) * frho <= frho_prime:
+            lo = mid
+        else:
+            hi = mid
+    if lo == 0.0:
         raise ValueError("no valid epsilon in (0, 1)")
-    return eps
+    return lo

@@ -162,19 +162,17 @@ class _Incumbent:
                 meta.trajectory.append((step, Fraction(num, den)))
         return num, den
 
-    def row(self) -> Optional[DegreeBest]:
-        """The incumbent's polynomial and its report (from the copied square),
-        or None if no candidate was scored."""
-        if self._bits is None:
-            return None
+    def row(self) -> DegreeBest:
+        """The incumbent's polynomial and its report (from the copied square).
+
+        There always is one: both modes score the all-ones polynomial, which is
+        its own reversal and meets any density floor <= 1 with l1 = degree + 1."""
         coeffs = np.asarray(self._bits, dtype=np.uint8)
         candidate = NewmanPolynomial._trusted(coeffs, _support(coeffs))
         return DegreeBest(self.degree, candidate, metrics(candidate, self._sq))
 
 
 def _result(table: list[DegreeBest], meta: SearchMetadata) -> SearchResult:
-    if not table:
-        raise ValueError("no candidate satisfies the density floor in the degree range")
     # min keeps the first of equal minima: the lowest such degree.
     best = min(table, key=lambda row: row.report.product)
     return SearchResult(best=best.polynomial, report=best.report, degree_table=table, metadata=meta)
@@ -226,9 +224,7 @@ def exhaustive_search(spec: SearchSpec) -> SearchResult:
             # equal values round alike.  argmin keeps the first of equal minima.
             best = int(np.argmin(heights / (l1 * l1)))
             incumbent.score(int(heights[best]), int(l1[best]), columns[:, best], sq[:, best], meta)
-        row = incumbent.row()
-        if row is not None:  # else the floor filtered this degree out
-            table.append(row)
+        table.append(incumbent.row())
     return _result(table, meta)
 
 
@@ -329,6 +325,6 @@ def local_search(spec: SearchSpec) -> SearchResult:
                 else:
                     for i in moved:
                         _flip(bits, twice, sq, i)  # undo the move
-        table.append(incumbent.row())  # the dense start is always feasible
+        table.append(incumbent.row())
     return _result(table, meta)
 

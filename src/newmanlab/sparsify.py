@@ -98,7 +98,7 @@ class SparsifyConfig:
     `rho` and `rho_prime` are given together or not at all, with
     0 < rho < rho_prime <= 1.  `epsilon` may then be omitted, and the
     largest admissible deviation parameter is chosen for the pair; a given
-    `epsilon` must not amplify rho beyond rho_prime.
+    `epsilon` must not exceed `choose_epsilon(rho, rho_prime)`.
     """
 
     alpha_exponent: Fraction = Fraction(1, 10)
@@ -133,7 +133,7 @@ class SparsifyConfig:
         if not 0 < epsilon < 1:
             raise ValueError("epsilon must lie in (0, 1)")
         object.__setattr__(self, "epsilon", epsilon)
-        if self.rho is not None and exact_amplification(epsilon) * self.rho > self.rho_prime:
+        if self.rho is not None and epsilon > chosen:
             raise ValueError("epsilon amplifies rho beyond rho_prime")
 
 

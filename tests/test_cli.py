@@ -172,6 +172,13 @@ class TestChernoff:
         code, _, _ = run(capsys, "sparsify", "--all-ones", "16", *extreme, "--trials", "1")
         assert code == 0
 
+    def test_rho_pair_near_one_returns(self):
+        # rho'/rho - 1 = 1e-9: choosing epsilon must stay quick this close to 1.
+        code, out, err = fresh_process(["chernoff", "--rho", "999999999/1000000000",
+                                        "--rho-prime", "1"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["epsilon"] == pytest.approx(1 / 3e9, rel=1e-6)
+
     def test_infinite_epsilon_rejected(self, capsys):
         code, out, err = run(capsys, "chernoff", "--epsilon", "inf", "--mean", "10")
         assert code == 1 and out == ""
@@ -511,8 +518,9 @@ def fresh_process(argv):
     src = os.path.dirname(os.path.dirname(newmanlab.__file__))
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    # The timeout turns a hang into a failure: tier-1 runs without pytest-timeout.
     done = subprocess.run([sys.executable, "-m", "newmanlab.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=30)
     return done.returncode, done.stdout, done.stderr
 
 
@@ -565,6 +573,15 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--min-degree", "1", "--max-degree", "2", "--floor", "1/0"],
+        ["chernoff", "--epsilon", "0.1", "--n", "10", "--c0", "1/0"],
+    ], ids=["search-floor", "chernoff-c0"])
+    def test_bad_rational_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_or_exit(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "not a rational: '1/0'" in err
 
     def test_poly_sources_are_exclusive(self):
         with pytest.raises(SystemExit):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from newmanlab import concentration
 from newmanlab.concentration import (
     bad_event_E_bound,
     c_epsilon,
@@ -174,7 +175,8 @@ class TestChooseEpsilon:
     def test_substitution_holds_exactly_and_is_maximal(self):
         for rho, rho_prime in [(Fraction(8, 9), Fraction(19, 20)),
                                (Fraction(5, 6), Fraction(1)),
-                               (Fraction(1, 2), Fraction(3, 4))]:
+                               (Fraction(1, 2), Fraction(3, 4)),
+                               (Fraction(4, 5), Fraction(19, 20))]:
             eps = choose_epsilon(rho, rho_prime)
             fe = Fraction(eps)
             amp = (1 + fe) / (1 - fe) ** 2
@@ -182,9 +184,41 @@ class TestChooseEpsilon:
             bigger = Fraction(eps * 1.01)
             amp_bigger = (1 + bigger) / (1 - bigger) ** 2
             assert amp_bigger * rho > rho_prime
+            assert exact_amplification(math.nextafter(eps, 1.0)) * rho > rho_prime
+
+    # Every pair that a test or the benchmark pins keeps its epsilon to the bit.
+    @pytest.mark.parametrize("rho, rho_prime, eps", [
+        (Fraction(8, 9), Fraction(19, 20), 0.022078396223397093),
+        (Fraction(5, 6), Fraction(1), 0.060098283658357794),
+        (Fraction(1, 2), Fraction(1), 0.21922359359558485),
+        (Fraction(1, 2), Fraction(3, 4), 0.13148290817867023),
+        (Fraction(1, 10 ** 40), Fraction(1), math.nextafter(1.0, 0.0)),
+    ], ids=["8/9-19/20", "5/6-1", "1/2-1", "1/2-3/4", "1e-40-1"])
+    def test_pinned_choices(self, rho, rho_prime, eps):
+        assert choose_epsilon(rho, rho_prime) == eps
+
+    @pytest.mark.parametrize("gap_exponent", [9, 15])
+    def test_pair_near_one_is_quick_and_maximal(self, monkeypatch, gap_exponent):
+        # rho'/rho - 1 = 1e-9 or 1e-15, where a float root of the boundary
+        # cancels: the exact checks stay few and the result is still maximal.
+        rho = 1 - Fraction(1, 10 ** gap_exponent)
+        checks = []
+        amplification = concentration.exact_amplification
+        monkeypatch.setattr(concentration, "exact_amplification",
+                            lambda e: checks.append(e) or amplification(e))
+        eps = choose_epsilon.__wrapped__(rho, Fraction(1))
+        assert len(checks) <= 110
+        assert exact_amplification(eps) * rho <= 1
+        assert exact_amplification(math.nextafter(eps, 1.0)) * rho > 1
+        assert eps == pytest.approx(Fraction(1, 3 * 10 ** gap_exponent), rel=1e-6)
+
+    def test_no_positive_float_admissible(self):
+        # eps ~ (rho'/rho - 1)/3 = 3e-401 is below the smallest subnormal float.
+        with pytest.raises(ValueError, match="no valid epsilon"):
+            choose_epsilon(1 - Fraction(1, 10 ** 400), Fraction(1))
 
     def test_extreme_pair_stays_below_one(self):
-        # rho'/rho = 1e40: the quadratic root rounds to 1.0 in floats.
+        # rho'/rho = 1e40: every float below 1 is admissible.
         rho = Fraction(1, 10 ** 40)
         eps = choose_epsilon(rho, Fraction(1))
         assert eps == math.nextafter(1.0, 0.0)
@@ -215,3 +249,4 @@ class TestChooseEpsilon:
         assert 0 < eps < 1
         fe = Fraction(eps)
         assert (1 + fe) / (1 - fe) ** 2 * rho <= rho_prime
+        assert exact_amplification(math.nextafter(eps, 1.0)) * rho > rho_prime

@@ -179,15 +179,17 @@ format = csv
         with pytest.raises(ValueError, match=r"dup\.cfg:5: duplicate key 'seed'"):
             parse_campaign_file(str(path))
 
-    @pytest.mark.parametrize("lines, message", [
-        ("", "epsilon must be given"),
-        ("epsilon = 0.3\nalpha_exponent = 2\n", "alpha_exponent must lie in"),
-        ("epsilon = 0.3\nseed = -1\n", "seed must be a 64-bit"),
-    ], ids=["no-epsilon-no-rho-pair", "alpha-exponent-2", "negative-seed"])
-    def test_parse_file_rejects_bad_thinning_parameters(self, tmp_path, lines, message):
+    # `where` follows the file name: the line for a malformed line, else nothing.
+    @pytest.mark.parametrize("lines, where, message", [
+        ("", "", "epsilon must be given"),
+        ("epsilon = 0.3\nalpha_exponent = 2\n", "", "alpha_exponent must lie in"),
+        ("epsilon = 0.3\nseed = -1\n", "", "seed must be a 64-bit"),
+        ("epsilon 0.3\n", ":4", "expected key = value"),
+    ], ids=["no-epsilon-no-rho-pair", "alpha-exponent-2", "negative-seed", "no-equals-sign"])
+    def test_parse_file_rejects_bad_thinning_parameters(self, tmp_path, lines, where, message):
         path = tmp_path / "thin.cfg"
         path.write_text("family = all_ones\ndegree_ladder = 8\ntrials_per_degree = 1\n" + lines)
-        with pytest.raises(ValueError, match=rf"thin\.cfg: {message}"):
+        with pytest.raises(ValueError, match=rf"thin\.cfg{where}: {message}"):
             parse_campaign_file(str(path))
 
     @pytest.mark.parametrize("key, value", [

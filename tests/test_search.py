@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import newmanlab.search
 from newmanlab.poly import NewmanPolynomial, RatioReport, _square_columns, metrics, square_oracle
 from newmanlab.search import (
     SearchMetadata,
@@ -128,6 +129,27 @@ class TestExhaustive:
             exhaustive_search(SearchSpec(1, 29))  # exhaustive cap
         with pytest.raises(ValueError):
             SearchSpec(1, 5, density_floor=Fraction(3, 2))
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+                SearchSpec(1, 5, seed=seed)
+        with pytest.raises(ValueError, match="iteration_budget must be nonnegative"):
+            SearchSpec(1, 5, iteration_budget=-1)
+
+    def test_floor_one_skips_a_block_with_no_feasible_pattern(self, monkeypatch):
+        # At degree 16 a candidate needs 16 of its 17 terms: the all-ones
+        # polynomial or one interior zero.  The first block of 8192 interior
+        # patterns holds none of them, so only the other three are squared.
+        calls = []
+        square_columns = newmanlab.search._square_columns
+        monkeypatch.setattr(newmanlab.search, "_square_columns",
+                            lambda columns: calls.append(columns.shape[1]) or square_columns(columns))
+        res = exhaustive_search(SearchSpec(16, 16, density_floor=Fraction(1)))
+        assert newmanlab.search._BLOCK == 1 << 13 and len(calls) == 3
+        # The all-ones polynomial and 8 of the 15 one-zero patterns (the
+        # rest are reversals of those, and the middle zero is its own).
+        assert res.metadata.candidates_examined == sum(calls) == 9
+        assert res.report.l1 >= 16
+        assert res.report.product == naive_minimum(16, floor=Fraction(1))
 
 
 class TestSquareKernels:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import newmanlab.poly
 import newmanlab.sparsify
+from newmanlab.concentration import exact_amplification
 from newmanlab.poly import (
     NewmanPolynomial,
     RatioReport,
@@ -100,6 +101,17 @@ class TestConfig:
     def test_inconsistent_epsilon_rejected(self):
         with pytest.raises(ValueError):
             SparsifyConfig(epsilon=0.5, rho=RHO, rho_prime=RHO_PRIME)
+
+    @pytest.mark.parametrize("rho, rho_prime", [(RHO, RHO_PRIME), (Fraction(4, 5), RHO_PRIME)])
+    def test_given_epsilon_admitted_up_to_the_chosen_one(self, rho, rho_prime):
+        # Exactly the epsilons whose amplification keeps rho within rho_prime.
+        chosen = SparsifyConfig(rho=rho, rho_prime=rho_prime).epsilon
+        assert exact_amplification(chosen) * rho <= rho_prime
+        assert SparsifyConfig(epsilon=chosen, rho=rho, rho_prime=rho_prime).epsilon == chosen
+        above = math.nextafter(chosen, 1.0)
+        assert exact_amplification(above) * rho > rho_prime
+        with pytest.raises(ValueError, match="epsilon amplifies rho beyond rho_prime"):
+            SparsifyConfig(epsilon=above, rho=rho, rho_prime=rho_prime)
 
     @pytest.mark.parametrize("pair, message", [
         ({"rho": RHO}, "rho and rho_prime must be given together"),
