@@ -21,7 +21,6 @@ from .sparsify import (  # noqa: F401
     BadEventFlags,
     KeepMask,
     SparsifyConfig,
-    SparsifyTrial,
     TrialRecord,
     alpha_of,
     expectation_oracle,

@@ -71,7 +71,11 @@ def _load_polynomial(args: argparse.Namespace) -> NewmanPolynomial:
     lines = _text_lines(args.poly_file)
     if len(lines) != 1:
         raise ValueError(f"{args.poly_file}: expected one polynomial line, found {len(lines)}")
-    return parse_polynomial(lines[0][1], args.poly_format)
+    (lineno, line), = lines
+    try:
+        return parse_polynomial(line, args.poly_format)
+    except ValueError as exc:
+        raise ValueError(f"{args.poly_file}:{lineno}: {exc}") from exc
 
 
 def _cmd_square(args: argparse.Namespace) -> int:

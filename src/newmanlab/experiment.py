@@ -33,7 +33,6 @@ from .poly import NewmanPolynomial, parse_polynomial, square
 from .sparsify import (
     RNG_ALGORITHM,
     SparsifyConfig,
-    SparsifyTrial,
     TrialRecord,
     alpha_of,
     sample,
@@ -161,8 +160,9 @@ def _canonical(value):
 class DegreeSummary:
     """One rung of a campaign: its parameters and its trial records in trial order.
 
-    `bound_E` is the unclamped `bad_event_E_bound`.  Every summary column is
-    derived from `records` when it is read.
+    `bound_E` is the unclamped `bad_event_E_bound` at density min(c0, l1/N)
+    of the rung's p.  Every summary column is derived from `records` when
+    it is read.
     """
 
     degree: int
@@ -290,7 +290,7 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
     raise error
 
 
-def record_from_trial(trial: SparsifyTrial) -> TrialRecord:
+def record_from_trial(trial: TrialRecord) -> TrialRecord:
     """The trial without its mask: what a campaign keeps."""
     return TrialRecord(trial.trial_index, trial.trial_seed, trial.q_metrics, trial.flags)
 
@@ -323,7 +323,8 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> list[DegreeSummary
             degree=degree,
             alpha=float(alpha_of(p.degree, config.alpha_exponent)),
             epsilon=config.epsilon,
-            bound_E=bad_event_E_bound(degree, config.c0, config.epsilon, config.alpha_exponent),
+            bound_E=bad_event_E_bound(degree, min(config.c0, Fraction(p.l1, p.degree)),
+                                      config.epsilon, config.alpha_exponent),
             records=_run_degree(p, config, workers),
         )
         for degree, p in zip(config.degree_ladder, polys)

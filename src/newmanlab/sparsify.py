@@ -7,6 +7,8 @@ the thinned polynomial q: did its mass drop below (1-eps) of its expectation
 height of p**2 (events E_k), and did its degree collapse below (c0/2)*N
 (event D)?  Trials are reproducible: the per-trial stream is derived from
 (master seed, trial index) alone, so results do not depend on scheduling.
+`sample` returns one `TrialRecord` per trial, the only record that carries
+its mask; the records a campaign keeps hold None there.
 
 alpha is always an exact Fraction: 1/N**exponent itself when that is
 rational, otherwise the exact value of the float N**(-exponent) that the mask
@@ -28,7 +30,7 @@ squaring each block of them with `poly._square_columns`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -44,7 +46,6 @@ __all__ = [
     "KeepMask",
     "BadEventFlags",
     "TrialRecord",
-    "SparsifyTrial",
     "alpha_of",
     "sample",
     "pair_counts",
@@ -171,28 +172,20 @@ class BadEventFlags:
 class TrialRecord:
     """Outcome of one thinning trial: the surviving polynomial's metrics and flags.
 
-    `q_metrics` is None when no coefficient survived.  This is the record a
-    campaign keeps and a trial table renders.
+    `q_metrics` is None when no coefficient survived.  `mask` is the mask
+    that `sample` drew; it is N+1 bytes, so the records a campaign keeps and
+    a trial table renders hold None.  It is neither compared nor hashed.
     """
 
     trial_index: int
     trial_seed: int
     q_metrics: Optional[RatioReport]
     flags: BadEventFlags
+    mask: Optional[KeepMask] = field(default=None, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
         return self.q_metrics is None
-
-
-@dataclass(frozen=True, eq=False)
-class SparsifyTrial(TrialRecord):
-    """A trial record with its realized mask (N+1 bytes, so campaigns drop it).
-
-    Equality and hashing are the record's; the mask is not compared.
-    """
-
-    mask: KeepMask
 
 
 def pair_counts(p: NewmanPolynomial, p_square: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +300,8 @@ def sample(
     config: SparsifyConfig,
     trial_index: int,
     p_square_height: Optional[int] = None,
-) -> SparsifyTrial:
-    """Run one reproducible thinning trial.
+) -> TrialRecord:
+    """Run one reproducible thinning trial; the record carries its mask.
 
     The mask is drawn from a stream derived from (config.seed, trial_index)
     only, so identical inputs reproduce the identical trial regardless of
@@ -326,8 +319,8 @@ def sample(
     bits = (rng.random(p.degree + 1) < float(cutoffs.alpha)).view(np.uint8)
     bits.setflags(write=False)
     q_metrics, flags = _thin(p, bits, cutoffs)
-    return SparsifyTrial(trial_index=trial_index, trial_seed=trial_seed,
-                         q_metrics=q_metrics, flags=flags, mask=KeepMask(bits))
+    return TrialRecord(trial_index=trial_index, trial_seed=trial_seed,
+                       q_metrics=q_metrics, flags=flags, mask=KeepMask(bits))
 
 
 def verify_hypothesis(p_report: RatioReport, c0: Fraction, rho: Fraction) -> bool:

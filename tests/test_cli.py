@@ -87,6 +87,13 @@ class TestSquare:
         assert (code, out) == (1, "")
         assert f"{source}: expected one polynomial line, found {found}" in err
 
+    def test_poly_file_parse_error_names_the_file_and_line(self, capsys, tmp_path):
+        source = tmp_path / "poly.txt"
+        source.write_text("# w\n0,x,3\n")
+        code, out, err = run(capsys, "ratio", "--poly-file", str(source))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"newman: error: {source}:2: bad exponent list '0,x,3'")
+
     def test_parse_error_is_clean(self, capsys):
         code, _, err = run(capsys, "square", "--poly", "110",
                            "--poly-format", "bitstring")

@@ -255,9 +255,32 @@ class TestRun:
     def test_record_from_trial_drops_only_the_mask(self):
         trial = sample(NewmanPolynomial.all_ones(64), SparsifyConfig(epsilon=0.3, seed=2), 4)
         record = record_from_trial(trial)
-        assert type(record) is TrialRecord and not hasattr(record, "mask")
+        assert type(record) is TrialRecord and record.mask is None
         assert (record.trial_index, record.trial_seed, record.q_metrics, record.flags) == (
             4, trial.trial_seed, trial.q_metrics, trial.flags)
+
+    def test_the_mask_is_not_compared(self):
+        p, cfg = NewmanPolynomial.all_ones(64), SparsifyConfig(epsilon=0.3, seed=2)
+        for t in range(8):
+            assert sample(p, cfg, t) == record_from_trial(sample(p, cfg, t))
+
+    def test_campaign_records_hold_no_mask(self, tmp_path):
+        """No mask is kept, so none is pickled back from a worker."""
+        for row in run_campaign(small_config(tmp_path), workers=2):
+            assert all(r.mask is None for r in row.records)
+
+    def test_sparse_family_E_bound_holds(self, tmp_path):
+        """With 100 terms at degree 1024 the kept mass has mean l1/2 = 50, not
+        c0*N**(9/10) = 512, so the bound must take the density l1/N for c0."""
+        family = tmp_path / "family.txt"
+        family.write_text(",".join(map(str, [*range(99), 1024])) + "\n")
+        cfg = small_config(tmp_path, family="from_file", family_file=str(family),
+                           degree_ladder=(1024,), trials_per_degree=2000,
+                           epsilon=0.3, rho=None, rho_prime=None, c0=1, seed=7)
+        (row,) = run_campaign(cfg)
+        assert row.freq_E > 0
+        assert row.bound_E >= row.freq_E
+        assert row.bound_E == bad_event_E_bound(1024, Fraction(100, 1024), 0.3, Fraction(1, 10))
 
     def test_trial_records_are_deterministic(self, tmp_path):
         a = run_campaign(small_config(tmp_path))

@@ -1,7 +1,8 @@
 """Public names: every `__all__` entry of every newmanlab module resolves, and so
 does every attribute the benchmark's tracer patches.  Every module-level import
 is read, and importing the CLI leaves the process pool unloaded and loads no
-third-party module but numpy."""
+third-party module but numpy.  The README's library quick tour runs and gives
+the values its comments claim."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -101,3 +103,30 @@ def test_benchmark_trace_points_resolve():
     bits = newmanlab.sample(p, newmanlab.SparsifyConfig(epsilon=0.3), 0,
                             p_square_height=17).mask.bits
     assert bits.dtype == np.uint8 and bits.shape == (17,) and not bits.flags.writeable
+
+
+def test_readme_quick_tour_runs_as_documented():
+    """Each top-level statement of the tour is run in turn, and the value of
+    each bare expression is kept under its source text."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    source = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(source, node)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+
+    def value(prefix: str):
+        (found,) = [v for text, v in values.items() if text.startswith(prefix)]
+        return found
+
+    assert value("p_report.product") == Fraction(1024, 1025)
+    assert value("nl.verify_hypothesis(") is True
+    assert namespace["alpha"] == Fraction(1, 2)
+    assert value("2 * alpha**2") == Fraction(513, 2)
+    trial = namespace["trial"]
+    assert type(trial) is newmanlab.TrialRecord
+    assert type(trial.mask) is newmanlab.KeepMask

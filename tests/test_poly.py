@@ -33,6 +33,10 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             NewmanPolynomial([])
+        with pytest.raises(ValueError, match="^support must be nonempty$"):
+            NewmanPolynomial.from_support([])
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            NewmanPolynomial.all_ones(-1)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -71,6 +75,9 @@ class TestConstruction:
         assert p.degree == 3
         assert p.l1 == 2
         assert p.support.tolist() == [1, 3]
+        assert repr(p) == "NewmanPolynomial(degree=3, support=[1,3])"
+        assert repr(NewmanPolynomial.all_ones(9)) == \
+            "NewmanPolynomial(degree=9, support=[0,1,2,3,4,5,6,7,...])"
 
     def test_from_support_duplicates(self):
         with pytest.raises(ValueError):
@@ -87,6 +94,8 @@ class TestConstruction:
         assert a == b
         assert hash(a) == hash(b)
         assert a != NewmanPolynomial([1, 1, 1])
+        assert a.__eq__("x") is NotImplemented
+        assert (a == "x") is False
 
     def test_pickle_round_trip_is_equal_and_read_only(self):
         p = NewmanPolynomial.from_support([0, 3, 4, 9])

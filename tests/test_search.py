@@ -225,6 +225,14 @@ class TestLocalSearch:
         res = local_search(spec)
         assert [row.degree for row in res.degree_table] == [4, 5, 6, 7]
 
+    def test_range_from_degree_one(self):
+        """Degree 1 has no interior bit to move, so its restarts take no step."""
+        res = local_search(SearchSpec(1, 3, iteration_budget=40))
+        assert res.degree_table == exhaustive_search(SearchSpec(1, 3)).degree_table
+        first = res.degree_table[0]
+        assert first.polynomial == NewmanPolynomial([1, 1])
+        assert first.report.product == Fraction(1, 2)
+
 
 class TestIncumbentRows:
     """Each degree row is built from copies of the incumbent's bits and square,

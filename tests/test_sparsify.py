@@ -574,11 +574,9 @@ class TestConclusion:
             theorem_conclusion_check(metrics(p), trial, cfg)
 
     def test_rejects_empty_trial(self):
-        from newmanlab.sparsify import SparsifyTrial
-
         p = NewmanPolynomial.all_ones(50)
         cfg = SparsifyConfig(epsilon=0.5, seed=3)
-        empty = SparsifyTrial(
+        empty = TrialRecord(
             trial_index=0,
             trial_seed=0,
             q_metrics=None,
