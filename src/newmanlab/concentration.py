@@ -26,20 +26,19 @@ _SERIES_CUTOFF = 1e-4
 
 
 def c_epsilon(epsilon: float) -> float:
-    """Tail exponent min{(1+e)*ln(1+e) - e, e**2/2}.
+    """Tail exponent min{(1+e)*ln(1+e) - e, e**2/2}, which is its first arm.
 
-    The first branch is the stable rewrite of -log(exp(e) * (1+e)**-(1+e));
-    for tiny e it is evaluated as e**2/2 - e**3/6 so the minimum is not lost
-    to cancellation.
+    For e > 0 the first arm is below e**2/2, as its derivative ln(1+e) is
+    below e, so only it is evaluated: as the stable rewrite of
+    -log(exp(e) * (1+e)**-(1+e)), and for tiny e as e**2/2 - e**3/6 so that
+    it is not lost to cancellation.
     """
     e = float(epsilon)
     if not 0.0 < e < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {e}")
     if e < _SERIES_CUTOFF:
-        first = e * e / 2.0 - e ** 3 / 6.0
-    else:
-        first = (1.0 + e) * math.log1p(e) - e
-    return min(first, e * e / 2.0)
+        return e * e / 2.0 - e ** 3 / 6.0
+    return (1.0 + e) * math.log1p(e) - e
 
 
 def tail_bound(epsilon: float, mean: float) -> float:

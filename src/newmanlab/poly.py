@@ -28,11 +28,13 @@ next square reuses them.  Buffers above 32 MiB, glibc's 64-bit maximum
 threshold (squares above degree about 2**21), are still mapped afresh.
 No arithmetic depends on it, and it does nothing off glibc.
 
+A `NewmanPolynomial` stores one array, its uint8 coefficients, and the
+term count l1 found when it is made; its support (the exponent list) is
+derived on each read by a scan of the coefficients' bool view.
 Coefficients are checked once, by the `NewmanPolynomial` constructor (the
 values as given, before the uint8 cast); polynomials derived from checked
-ones skip it via `_trusted`, and so does `all_ones`, which builds its
-coefficient and support arrays itself.  Every support is found by
-`_support`, a scan of the coefficients' bool view.
+ones skip it via `_trusted`, and so do `all_ones` and `from_support`, which
+build their coefficient arrays themselves.
 
 `metrics(p)` is p's `RatioReport`: it is made from the term count, degree
 and square height alone and computes the exact ratios from them.
@@ -73,7 +75,7 @@ class NewmanPolynomial:
     necessarily nonzero) coefficient.
     """
 
-    __slots__ = ("_coeffs", "_support")
+    __slots__ = ("_coeffs", "_l1")
 
     def __init__(self, coefficients: Sequence[int] | np.ndarray):
         # The values are checked as given, before the narrowing cast, so
@@ -86,21 +88,19 @@ class NewmanPolynomial:
         coeffs = arr.astype(np.uint8)
         if coeffs[-1] != 1:
             raise ValueError("leading coefficient must be 1 (no trailing zeros)")
-        self._adopt(coeffs, _support(coeffs))
+        self._adopt(coeffs)
 
     @classmethod
-    def _trusted(cls, coeffs: np.ndarray, support: np.ndarray) -> "NewmanPolynomial":
-        """Wrap uint8 0/1 `coeffs` ending in 1 and their int64 `support`
-        unchecked; both are frozen, not copied."""
+    def _trusted(cls, coeffs: np.ndarray) -> "NewmanPolynomial":
+        """Wrap uint8 0/1 `coeffs` ending in 1 unchecked; frozen, not copied."""
         p = object.__new__(cls)
-        p._adopt(coeffs, support)
+        p._adopt(coeffs)
         return p
 
-    def _adopt(self, coeffs: np.ndarray, support: np.ndarray) -> None:
+    def _adopt(self, coeffs: np.ndarray) -> None:
         coeffs.setflags(write=False)
-        support.setflags(write=False)
         self._coeffs = coeffs
-        self._support = support
+        self._l1 = int(np.count_nonzero(coeffs.view(np.bool_)))
 
     @classmethod
     def from_support(cls, exponents: Iterable[int]) -> "NewmanPolynomial":
@@ -113,17 +113,15 @@ class NewmanPolynomial:
         if len(set(exps)) != len(exps):
             raise ValueError("duplicate exponents")
         coeffs = np.zeros(exps[-1] + 1, dtype=np.uint8)
-        coeffs[exps] = 1
-        return cls(coeffs)
+        coeffs[exps] = 1  # ends in 1, and the exponents are checked above
+        return cls._trusted(coeffs)
 
     @classmethod
     def all_ones(cls, degree: int) -> "NewmanPolynomial":
         """1 + x + ... + x**degree."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        # Both arrays are made here, so there is nothing to check.
-        coeffs = np.ones(degree + 1, dtype=np.uint8)
-        return cls._trusted(coeffs, np.arange(degree + 1, dtype=np.int64))
+        return cls._trusted(np.ones(degree + 1, dtype=np.uint8))
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -131,8 +129,11 @@ class NewmanPolynomial:
 
     @property
     def support(self) -> np.ndarray:
-        """Sorted exponents of the nonzero terms."""
-        return self._support
+        """Sorted exponents of the nonzero terms: a read-only int64 array,
+        found by a scan of the coefficients on each call."""
+        support = np.flatnonzero(self._coeffs.view(np.bool_)).astype(np.int64, copy=False)
+        support.setflags(write=False)
+        return support
 
     @property
     def degree(self) -> int:
@@ -141,7 +142,7 @@ class NewmanPolynomial:
     @property
     def l1(self) -> int:
         """Number of terms (the L1 norm of the coefficient sequence)."""
-        return len(self._support)
+        return self._l1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NewmanPolynomial):
@@ -154,11 +155,11 @@ class NewmanPolynomial:
         return hash((self.degree, self._coeffs.tobytes()))
 
     def __reduce__(self):
-        # Unpickle through the checked constructor, which freezes the arrays.
+        # Unpickle through the checked constructor, which freezes the array.
         return (type(self), (self._coeffs,))
 
     def __repr__(self) -> str:
-        exps = self._support.tolist()
+        exps = self.support.tolist()
         shown = ",".join(map(str, exps[:8])) + (",..." if len(exps) > 8 else "")
         return f"NewmanPolynomial(degree={self.degree}, support=[{shown}])"
 
@@ -199,16 +200,6 @@ class RatioReport:
             "trivial_bound_num": self.trivial_bound.numerator,
             "trivial_bound_den": self.trivial_bound.denominator,
         }
-
-
-def _support(coeffs: np.ndarray) -> np.ndarray:
-    """The int64 indices of the ones of `coeffs`, a uint8 array of 0s and 1s.
-
-    Scans the array's bool view, which numpy does several times faster than
-    the same bytes as uint8.  The view is only meaningful for 0/1 bytes, so
-    `coeffs` must hold nothing else.
-    """
-    return np.flatnonzero(coeffs.view(np.bool_)).astype(np.int64, copy=False)
 
 
 def parse_polynomial(text: str, format: str = "exponent_list") -> NewmanPolynomial:

@@ -34,9 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import (
-    NewmanPolynomial, RatioReport, _square_columns, _support, format_polynomial, metrics, square,
-)
+from .poly import NewmanPolynomial, RatioReport, _square_columns, format_polynomial, metrics, square
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -86,7 +84,8 @@ class DegreeBest:
 
 @dataclass
 class SearchMetadata:
-    """Counters and provenance of a search run."""
+    """Counters and provenance of a search run.  `trajectory` holds each
+    (iteration, product) that improved the best product over all degrees."""
 
     mode: str
     seed: int
@@ -151,15 +150,17 @@ class _Incumbent:
         terms, as a numerator and a positive denominator.
 
         A strict improvement becomes the incumbent: its 0/1 coefficients
-        `bits` (an array or a list) and its square `sq` are copied, and the
-        value is recorded in the trajectory at `step` when one is given.
+        `bits` (an array or a list) and its square `sq` are copied; at a
+        `step`, the value joins the trajectory if it improves the best product.
         """
         num, den = height * self.degree, l1 * l1
         if self._bits is None or num * self._den < self._num * den:
             self._num, self._den = num, den
             self._bits, self._sq = bits.copy(), sq.copy()
             if step is not None:
-                meta.trajectory.append((step, Fraction(num, den)))
+                value = Fraction(num, den)
+                if not meta.trajectory or value < meta.trajectory[-1][1]:
+                    meta.trajectory.append((step, value))
         return num, den
 
     def row(self) -> DegreeBest:
@@ -167,8 +168,7 @@ class _Incumbent:
 
         There always is one: both modes score the all-ones polynomial, which is
         its own reversal and meets any density floor <= 1 with l1 = degree + 1."""
-        coeffs = np.asarray(self._bits, dtype=np.uint8)
-        candidate = NewmanPolynomial._trusted(coeffs, _support(coeffs))
+        candidate = NewmanPolynomial._trusted(np.asarray(self._bits, dtype=np.uint8))
         return DegreeBest(self.degree, candidate, metrics(candidate, self._sq))
 
 
@@ -264,7 +264,7 @@ def local_search(spec: SearchSpec) -> SearchResult:
     """Seeded annealing over interior bit flips and swaps, one walk per degree.
 
     Never returns or visits a candidate violating the density floor, records
-    every improvement of the incumbent, and is fully determined by the seed.
+    every improvement of the best product, and is fully determined by the seed.
     Each restart squares its start once; a move updates that square with
     `_flip`, and a rejected move is flipped back.
     """
@@ -279,7 +279,7 @@ def local_search(spec: SearchSpec) -> SearchResult:
             rng = np.random.default_rng([spec.seed, degree, restart])
             coeffs = _random_start(rng, degree, spec.density_floor, incumbent.min_l1, restart)
             # int32 is exact: no coefficient of the square exceeds l1.
-            sq = square(NewmanPolynomial._trusted(coeffs, _support(coeffs))).astype(np.int32)
+            sq = square(NewmanPolynomial._trusted(coeffs)).astype(np.int32)
             bits = coeffs.tolist()
             twice = 2 * coeffs.astype(np.int32)
             interior = coeffs[1:degree]

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, _square_columns, _support, square
+from .poly import NewmanPolynomial, RatioReport, _square_columns, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -279,16 +279,18 @@ def _thin(
     can overshoot otherwise.
     """
     q_coeffs = p.coefficients & bits
-    kept = _support(q_coeffs)
+    ones = q_coeffs.view(np.bool_)
+    kept = int(np.count_nonzero(ones))
     report, overs = None, ()
-    if kept.size:
-        q = NewmanPolynomial._trusted(q_coeffs[: int(kept[-1]) + 1], kept)
+    if kept:
+        # q ends at its last kept term: len(ones) minus the trailing zeros.
+        q = NewmanPolynomial._trusted(q_coeffs[: len(ones) - int(ones[::-1].argmax())])
         q_square = square(q)
         report = RatioReport(q.l1, q.degree, int(q_square.max()))
         if report.height > cutoffs.height:
             overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
     flags = BadEventFlags(
-        E=kept.size < cutoffs.low_mass,
+        E=kept < cutoffs.low_mass,
         E_k_indices=overs,
         D=report is None or report.degree <= cutoffs.degree,
     )

@@ -1,12 +1,15 @@
 """CLI surface: every subcommand, file outputs, error paths."""
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -372,7 +375,7 @@ class TestSearch:
         # a third of the steps) and the upkeep of the walk's index lists.
         (["--min-degree", "64", "--max-degree", "66", "--mode", "local_search",
           "--floor", "4/5", "--budget", "4000", "--seed", "11"],
-         "1977e3b4e7793b107b476f7c4cb18c4533d770b1aaa0ccc617279176cfecd30e",
+         "f71979c4439c5854ec0a6e9595971663048a48ad49dcab457f78d915d41969bc",
          "bcf06811c510487dd8d086a0efc9ce0958ed1e9bdcc118dea2ff0cf1ec3bd9a8"),
     ], ids=["exhaustive-1-12", "exhaustive-min-ratio-floor-half", "local-256",
             "local-1024", "exhaustive-1-14-min-ratio-floor-four-fifths",
@@ -593,3 +596,30 @@ class TestParser:
     def test_poly_sources_are_exclusive(self):
         with pytest.raises(SystemExit):
             main(["square", "--poly", "0,1", "--all-ones", "4"])
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch, tmp_path):
+    """Each example of the README's `## Command line` runs in a fresh directory
+    and exits 0, with its campaign config written to `campaign.cfg` and the
+    documented `experiment` overrides `--trials 1 --out ...`; every
+    subcommand has an example."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    campaign = section.split("A campaign config file looks like:\n\n```\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "campaign.cfg").write_text(campaign)
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in commands.splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        assert argv[0] == "newman", line
+        if argv[1] == "experiment":
+            argv += ["--trials", "1", "--out", "campaign_out"]
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (line, err)
+        ran.append(argv[1])
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(ran) == set(subparsers.choices)

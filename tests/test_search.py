@@ -225,6 +225,17 @@ class TestLocalSearch:
         res = local_search(spec)
         assert [row.degree for row in res.degree_table] == [4, 5, 6, 7]
 
+    def test_multi_degree_trajectory_improves_the_best_product(self):
+        # A later degree's first incumbents are not improvements of the best.
+        res = local_search(SearchSpec(4, 7, iteration_budget=2000, seed=1))
+        values = [value for _, value in res.metadata.trajectory]
+        assert all(later < earlier for earlier, later in zip(values, values[1:]))
+        assert values[-1] == res.report.product
+
+    def test_trajectory_from_degree_one_holds_only_the_best(self):
+        res = local_search(SearchSpec(1, 3, iteration_budget=40))
+        assert res.metadata.trajectory == [(0, Fraction(1, 2))]
+
     def test_range_from_degree_one(self):
         """Degree 1 has no interior bit to move, so its restarts take no step."""
         res = local_search(SearchSpec(1, 3, iteration_budget=40))

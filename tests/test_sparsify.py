@@ -324,6 +324,29 @@ class TestThin:
         q_square, flags = self.thin_with_height_cutoff(1)
         assert flags.E_k_indices == tuple(np.flatnonzero(q_square == q_square.max()).tolist())
 
+    # p = 1 + x**2 + x**3 + x**5; q is trimmed after its last kept term.
+    EDGE_P = NewmanPolynomial.from_support([0, 2, 3, 5])
+    EDGE_CUTOFFS = _Cutoffs(alpha=Fraction(1, 2), low_mass=Fraction(1, 2),
+                            height=1, degree=Fraction(0))
+
+    @pytest.mark.parametrize("bits", [[1, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1, 0],
+                                      [0, 0, 0, 0, 0, 1]],
+                             ids=["only-x0", "drop-last", "only-x5"])
+    def test_q_ends_at_its_last_kept_term(self, bits):
+        bits = np.array(bits, dtype=np.uint8)
+        q = masked_polynomial(self.EDGE_P, bits)
+        report, flags = _thin(self.EDGE_P, bits, self.EDGE_CUTOFFS)
+        assert report == metrics(q)
+        assert not flags.E and flags.D == (q.degree == 0)
+        assert flags.E_k_indices == tuple(np.flatnonzero(square_oracle(q) > 1).tolist())
+
+    def test_keeping_only_absent_terms_gives_an_empty_q(self):
+        bits = np.array([0, 1, 0, 0, 1, 0], dtype=np.uint8)
+        assert masked_polynomial(self.EDGE_P, bits) is None
+        report, flags = _thin(self.EDGE_P, bits, self.EDGE_CUTOFFS)
+        assert report is None
+        assert flags == BadEventFlags(E=True, E_k_indices=(), D=True)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=63).map(lambda bits: bits + [1]),
            st.integers(0, 2 ** 64 - 1))
