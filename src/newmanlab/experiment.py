@@ -78,24 +78,35 @@ def _text_lines(path: str) -> list[tuple[int, str]]:
     return [(n, line) for n, line in lines if line]
 
 
-def _polynomial_from_file(config: CampaignConfig, degree: int) -> NewmanPolynomial:
-    """The first polynomial of the given degree in the family file; a
-    malformed line is reported with its file and line number."""
-    assert config.family_file is not None
-    for lineno, line in _text_lines(config.family_file):
+def _polynomials_from_file(config: CampaignConfig) -> list[NewmanPolynomial]:
+    """The first polynomial of each ladder degree in the family file.
+
+    One pass reads the file and stops once every degree is found; a
+    malformed line that it reaches is reported with its file and line
+    number, and the first ladder degree it did not find is named.
+    """
+    path, ladder = config.family_file, config.degree_ladder
+    assert path is not None
+    found: dict[int, NewmanPolynomial] = {}
+    for lineno, line in _text_lines(path) if ladder else ():
         try:
             p = parse_polynomial(line, "exponent_list")
         except ValueError as exc:
-            raise ValueError(f"{config.family_file}:{lineno}: {exc}") from exc
-        if p.degree == degree:
-            return p
-    raise ValueError(f"no polynomial of degree {degree} in {config.family_file}")
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if p.degree in ladder and p.degree not in found:
+            found[p.degree] = p
+            if len(found) == len(ladder):
+                break
+    for degree in ladder:
+        if degree not in found:
+            raise ValueError(f"no polynomial of degree {degree} in {path}")
+    return [found[degree] for degree in ladder]
 
 
-# Family name -> the builder of its polynomial of a given degree.
+# Family name -> the builder of its polynomials, one per ladder degree.
 _FAMILIES = {
-    "all_ones": lambda config, degree: NewmanPolynomial.all_ones(degree),
-    "from_file": _polynomial_from_file,
+    "all_ones": lambda config: [NewmanPolynomial.all_ones(d) for d in config.degree_ladder],
+    "from_file": _polynomials_from_file,
 }
 
 
@@ -317,7 +328,7 @@ def run_campaign(config: CampaignConfig, workers: int = 1) -> list[DegreeSummary
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     # Every rung's polynomial is built first, so a missing one fails before any trial.
-    polys = [_FAMILIES[config.family](config, degree) for degree in config.degree_ladder]
+    polys = _FAMILIES[config.family](config)
     return [
         DegreeSummary(
             degree=degree,

@@ -7,6 +7,10 @@ the thinned polynomial q: did its mass drop below (1-eps) of its expectation
 height of p**2 (events E_k), and did its degree collapse below (c0/2)*N
 (event D)?  Trials are reproducible: the per-trial stream is derived from
 (master seed, trial index) alone, so results do not depend on scheduling.
+The mask is drawn in chunks of `_MASK_CHUNK` uniform floats, each compared
+with alpha into one N+1-byte bool array; consecutive draws continue the one
+stream, so the mask is that of a single N+1-float draw, but a trial never
+holds a float array longer than a chunk.
 `sample` returns one `TrialRecord` per trial, the only record that carries
 its mask; the records a campaign keeps hold None there.
 
@@ -59,6 +63,7 @@ RNG_ALGORITHM = "numpy-pcg64/seedsequence(entropy=[master_seed,trial_index])"
 
 _ENUMERATION_DEGREE_CAP = 20
 _MASK_BLOCK = 1 << 14
+_MASK_CHUNK = 1 << 16  # uniform floats that `sample` draws at a time
 
 
 def _int_nth_root(x: int, n: int) -> int:
@@ -280,9 +285,8 @@ def _thin(
     """
     q_coeffs = p.coefficients & bits
     ones = q_coeffs.view(np.bool_)
-    kept = int(np.count_nonzero(ones))
     report, overs = None, ()
-    if kept:
+    if ones.any():
         # q ends at its last kept term: len(ones) minus the trailing zeros.
         q = NewmanPolynomial._trusted(q_coeffs[: len(ones) - int(ones[::-1].argmax())])
         q_square = square(q)
@@ -290,7 +294,7 @@ def _thin(
         if report.height > cutoffs.height:
             overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
     flags = BadEventFlags(
-        E=kept < cutoffs.low_mass,
+        E=(0 if report is None else report.l1) < cutoffs.low_mass,
         E_k_indices=overs,
         D=report is None or report.degree <= cutoffs.degree,
     )
@@ -307,8 +311,11 @@ def sample(
 
     The mask is drawn from a stream derived from (config.seed, trial_index)
     only, so identical inputs reproduce the identical trial regardless of
-    how trials are scheduled across workers.  Pass the precomputed height
-    of p**2 when running many trials against the same p.
+    how trials are scheduled across workers.  The mask is written into
+    one N+1-byte bool array, `_MASK_CHUNK` uniforms at a time: the same
+    bits as `rng.random(N+1) < alpha`, without that call's 8*(N+1)-byte
+    float array.  Pass the precomputed height of p**2 when running many
+    trials against the same p.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
@@ -318,7 +325,12 @@ def sample(
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    bits = (rng.random(p.degree + 1) < float(cutoffs.alpha)).view(np.uint8)
+    keep = np.empty(p.degree + 1, dtype=np.bool_)
+    alpha = float(cutoffs.alpha)
+    for start in range(0, len(keep), _MASK_CHUNK):
+        chunk = keep[start:start + _MASK_CHUNK]
+        np.less(rng.random(len(chunk)), alpha, out=chunk)
+    bits = keep.view(np.uint8)
     bits.setflags(write=False)
     q_metrics, flags = _thin(p, bits, cutoffs)
     return TrialRecord(trial_index=trial_index, trial_seed=trial_seed,

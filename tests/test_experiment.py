@@ -303,6 +303,21 @@ class TestRun:
         summary = run_campaign(cfg)
         assert [row.degree for row in summary] == [8, 16]
 
+    def test_from_file_reads_the_family_once(self, tmp_path, monkeypatch):
+        # Three rungs, one read; the malformed last line is past every rung's
+        # polynomial, so it is never parsed.
+        reads = []
+        text_lines = experiment._text_lines
+        monkeypatch.setattr(experiment, "_text_lines",
+                            lambda path: reads.append(path) or text_lines(path))
+        family = tmp_path / "family.txt"
+        family.write_text("".join(",".join(map(str, range(d + 1))) + "\n" for d in (16, 4, 8))
+                          + "0,x,8\n")
+        cfg = small_config(tmp_path, family="from_file", family_file=str(family),
+                           degree_ladder=(4, 8, 16), trials_per_degree=2)
+        assert [row.degree for row in run_campaign(cfg)] == [4, 8, 16]
+        assert reads == [str(family)]
+
     def test_from_file_missing_degree(self, tmp_path):
         family = tmp_path / "family.txt"
         family.write_text("0,1,2\n")

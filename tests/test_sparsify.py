@@ -1,6 +1,7 @@
 """Thinning trials: expectations, pair counts, bad events, determinism."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -471,6 +472,40 @@ class TestSample:
         sd_one = math.sqrt(1025 * 0.25)
         band = 4 * sd_one / math.sqrt(trials)
         assert abs(masses.mean() - 512.5) <= band
+
+    CHUNK = newmanlab.sparsify._MASK_CHUNK
+
+    @pytest.mark.parametrize("length", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5],
+                             ids=["chunk-1", "chunk", "chunk+1", "3chunks+5"])
+    def test_chunked_mask_is_one_draw_of_the_stream(self, length):
+        # Drawn a chunk at a time, the mask is still one random(N+1) < alpha.
+        N = length - 1
+        p = NewmanPolynomial.all_ones(N)
+        cfg = SparsifyConfig(epsilon=0.3, seed=20080613)
+        alpha = float(alpha_of(N, cfg.alpha_exponent))
+        for t in (0, 9):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, t])))
+            bits = sample(p, cfg, t, p_square_height=N + 1).mask.bits
+            assert bits.dtype == np.uint8 and not bits.flags.writeable
+            assert np.array_equal(bits, (rng.random(N + 1) < alpha).view(np.uint8))
+
+    def test_trial_allocates_no_full_length_float_array(self, monkeypatch):
+        # With the square stubbed out, a trial holds the N+1-byte mask, the
+        # N+1-byte q and one chunk of floats at most, not 8*(N+1) bytes.
+        stub = np.zeros(1, dtype=np.int64)
+        stub.setflags(write=False)
+        monkeypatch.setattr(newmanlab.sparsify, "square", lambda q: stub)
+        N = 2 ** 18
+        p = NewmanPolynomial.all_ones(N)
+        cfg = SparsifyConfig(epsilon=0.3, seed=3)
+        sample(p, cfg, 0, p_square_height=N + 1)
+        tracemalloc.start()
+        try:
+            sample(p, cfg, 1, p_square_height=N + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (N + 1) + 8 * self.CHUNK + 65_536
 
     def test_sparsity_ratio_trend_small_ladder(self):
         # mean kept-mass / degree falls as the degree climbs (alpha shrinks).
