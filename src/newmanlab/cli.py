@@ -68,7 +68,7 @@ def _load_polynomial(args: argparse.Namespace) -> NewmanPolynomial:
         return NewmanPolynomial.all_ones(args.all_ones)
     if args.poly_file is None:
         return parse_polynomial(args.poly, args.poly_format)
-    lines = _text_lines(args.poly_file)
+    lines = list(_text_lines(args.poly_file))
     if len(lines) != 1:
         raise ValueError(f"{args.poly_file}: expected one polynomial line, found {len(lines)}")
     (lineno, line), = lines
@@ -145,7 +145,7 @@ def _cmd_sparsify(args: argparse.Namespace) -> int:
     p = _load_polynomial(args)
     config = SparsifyConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(SparsifyConfig)})
-    p_height = int(square(p).max())
+    p_height = metrics(p).height
     records = [
         record_from_trial(sample(p, config, t, p_square_height=p_height))
         for t in range(args.trials)

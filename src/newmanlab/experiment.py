@@ -21,15 +21,16 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import closing
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-from . import __version__
+from . import __version__, poly
 from .concentration import bad_event_E_bound, choose_epsilon
-from .poly import NewmanPolynomial, parse_polynomial, square
+from .poly import NewmanPolynomial, metrics, parse_polynomial
 from .sparsify import (
     RNG_ALGORITHM,
     SparsifyConfig,
@@ -70,33 +71,36 @@ MEAN_PROXY_DEN = 10 ** 12
 
 _FORMATS = ("csv", "json")
 
+square = poly.square  # not called here: perfbench's tracer binds experiment.square
 
-def _text_lines(path: str) -> list[tuple[int, str]]:
-    """The numbered lines of a text file, with `#` comments and blank lines dropped."""
+
+def _text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a text file, read lazily, with `#` comments and blank lines dropped."""
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [(n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(handle, 1)]
-    return [(n, line) for n, line in lines if line]
+        lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(handle, 1))
+        yield from ((n, line) for n, line in lines if line)
 
 
 def _polynomials_from_file(config: CampaignConfig) -> list[NewmanPolynomial]:
     """The first polynomial of each ladder degree in the family file.
 
-    One pass reads the file and stops once every degree is found; a
-    malformed line that it reaches is reported with its file and line
-    number, and the first ladder degree it did not find is named.
+    One pass reads the file up to the last line it needs, and closes it
+    there; a malformed line that it reaches is reported with its file and
+    line number, and the first ladder degree it did not find is named.
     """
     path, ladder = config.family_file, config.degree_ladder
     assert path is not None
     found: dict[int, NewmanPolynomial] = {}
-    for lineno, line in _text_lines(path) if ladder else ():
-        try:
-            p = parse_polynomial(line, "exponent_list")
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        if p.degree in ladder and p.degree not in found:
-            found[p.degree] = p
-            if len(found) == len(ladder):
-                break
+    with closing(_text_lines(path)) as lines:
+        for lineno, line in lines if ladder else ():
+            try:
+                p = parse_polynomial(line, "exponent_list")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if p.degree in ladder and p.degree not in found:
+                found[p.degree] = p
+                if len(found) == len(ladder):
+                    break
     for degree in ladder:
         if degree not in found:
             raise ValueError(f"no polynomial of degree {degree} in {path}")
@@ -269,7 +273,7 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
     without the file's name, as the file is not at fault.
     """
     values: dict[str, str] = {}
-    for lineno, line in _text_lines(path):
+    for lineno, line in list(_text_lines(path)):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
@@ -313,7 +317,7 @@ def _trial(p: NewmanPolynomial, config: SparsifyConfig, p_square_height: int, t:
 def _run_degree(p: NewmanPolynomial, config: CampaignConfig, workers: int) -> tuple[TrialRecord, ...]:
     """The rung's trial records in trial order, whatever the worker count."""
     trials = config.trials_per_degree
-    trial = partial(_trial, p, config, int(square(p).max()))
+    trial = partial(_trial, p, config, metrics(p).height)
     if workers == 1 or trials < 2 * workers:
         return tuple(map(trial, range(trials)))
     # Imported here: multiprocessing would add to the start-up of every other command.

@@ -37,7 +37,9 @@ ones skip it via `_trusted`, and so do `all_ones` and `from_support`, which
 build their coefficient arrays themselves.
 
 `metrics(p)` is p's `RatioReport`: it is made from the term count, degree
-and square height alone and computes the exact ratios from them.
+and square height alone and computes the exact ratios from them.  It squares
+p only if p's support is not symmetric (as `all_ones`'s is): if it is, the
+height is l1(p), found by one O(N) comparison.
 """
 
 from __future__ import annotations
@@ -357,6 +359,15 @@ def square_oracle(p: NewmanPolynomial) -> np.ndarray:
 
 def metrics(p: NewmanPolynomial, square_coeffs: np.ndarray | None = None) -> RatioReport:
     """Exact RatioReport for p; pass a precomputed square (any integer array
-    of its coefficients) to avoid recomputing it."""
-    sq = square(p) if square_coeffs is None else square_coeffs
-    return RatioReport(p.l1, p.degree, int(sq.max()))
+    of its coefficients) to avoid recomputing it.
+
+    Without one, p is not squared if its support S is symmetric, S = c - S
+    with c = min S + max S: then (p**2)_c counts each j in S once, so it is
+    l1(p), and no (p**2)_k = sum_j p_j * p_{k-j} exceeds sum_j p_j = l1(p).
+    """
+    if square_coeffs is None:
+        coeffs = p.coefficients[int(p.coefficients.view(np.bool_).argmax()):]
+        if (coeffs == coeffs[::-1]).all():
+            return RatioReport(p.l1, p.degree, p.l1)
+        square_coeffs = square(p)
+    return RatioReport(p.l1, p.degree, int(square_coeffs.max()))

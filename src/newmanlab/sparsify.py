@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, _square_columns, square
+from .poly import NewmanPolynomial, RatioReport, _square_columns, metrics, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -314,13 +314,13 @@ def sample(
     how trials are scheduled across workers.  The mask is written into
     one N+1-byte bool array, `_MASK_CHUNK` uniforms at a time: the same
     bits as `rng.random(N+1) < alpha`, without that call's 8*(N+1)-byte
-    float array.  Pass the precomputed height of p**2 when running many
-    trials against the same p.
+    float array.  Pass the precomputed height of p**2, `metrics(p).height`,
+    when running many trials against the same p.
     """
     if trial_index < 0:
         raise ValueError("trial_index must be nonnegative")
     if p_square_height is None:
-        p_square_height = int(square(p).max())
+        p_square_height = metrics(p).height
     cutoffs = _cutoffs(p.degree, p.l1, p_square_height, config)
     seed_seq = np.random.SeedSequence([int(config.seed), int(trial_index)])
     trial_seed = int(seed_seq.generate_state(1, np.uint64)[0])

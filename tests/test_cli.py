@@ -506,7 +506,7 @@ class TestOutOfMemory:
     @pytest.mark.parametrize("callee, argv, message, tail", [
         ("metrics", ["ratio", "--all-ones", "3000000000"],
          "Unable to allocate 22.4 GiB for an array", ": Unable to allocate 22.4 GiB for an array"),
-        ("square", ["sparsify", "--all-ones", "300000000", "--epsilon", "0.3", "--trials", "1"],
+        ("metrics", ["sparsify", "--all-ones", "300000000", "--epsilon", "0.3", "--trials", "1"],
          "Unable to allocate 22.4 GiB for an array", ": Unable to allocate 22.4 GiB for an array"),
         # pocketfft raises MemoryError() with no message.
         ("metrics", ["ratio", "--all-ones", "3000000000"], "", " in ratio"),

@@ -1,6 +1,7 @@
 """Campaign runner: aggregation consistency, determinism, file outputs."""
 
 import hashlib
+import inspect
 import json
 import os
 from dataclasses import fields, replace
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from newmanlab import experiment
+from newmanlab import experiment, poly, sparsify
 from newmanlab.concentration import bad_event_E_bound, choose_epsilon
 from newmanlab.experiment import (
     MEAN_PROXY_DEN,
@@ -21,7 +22,7 @@ from newmanlab.experiment import (
     run_campaign,
     trial_table_text,
 )
-from newmanlab.poly import NewmanPolynomial
+from newmanlab.poly import NewmanPolynomial, square
 from newmanlab.sparsify import SparsifyConfig, TrialRecord, sample
 
 def small_config(tmp_path, **overrides) -> CampaignConfig:
@@ -317,6 +318,45 @@ class TestRun:
                            degree_ladder=(4, 8, 16), trials_per_degree=2)
         assert [row.degree for row in run_campaign(cfg)] == [4, 8, 16]
         assert reads == [str(family)]
+
+    def test_from_file_stops_reading_at_the_last_needed_line(self, tmp_path, monkeypatch):
+        # More than 64 KiB of valid lines follow the needed ones, then bytes
+        # that are not UTF-8: a pass that read to the end could not decode them.
+        passes = []
+        text_lines = experiment._text_lines
+        monkeypatch.setattr(experiment, "_text_lines",
+                            lambda path: passes.append(text_lines(path)) or passes[-1])
+        needed = "".join(",".join(map(str, range(d + 1))) + "\n" for d in (8, 4))
+        filler = (",".join(map(str, range(33))) + "\n") * 1000
+        assert len(filler) > 64 * 1024
+        family = tmp_path / "family.txt"
+        family.write_bytes((needed + filler).encode() + b"\xff\xfe\n")
+        cfg = small_config(tmp_path, family="from_file", family_file=str(family),
+                           degree_ladder=(4, 8), trials_per_degree=2)
+        assert [row.degree for row in run_campaign(cfg)] == [4, 8]
+        (lines,) = passes
+        assert inspect.getgeneratorstate(lines) == inspect.GEN_CLOSED
+
+    def test_a_rung_squares_p_only_if_its_support_is_asymmetric(self, tmp_path, monkeypatch):
+        squared = []
+
+        def counting(p):
+            squared.append(p.degree)
+            return square(p)
+
+        for module in (poly, sparsify, experiment):
+            monkeypatch.setattr(module, "square", counting)
+        rungs = run_campaign(small_config(tmp_path))
+        q_degrees = [[r.q_metrics.degree for r in row.records if not r.is_empty] for row in rungs]
+        assert squared == q_degrees[0] + q_degrees[1]
+
+        # {0, 1, 3, ..., d} is not symmetric: 2 is missing but d - 2 is not.
+        family = tmp_path / "family.txt"
+        family.write_text("".join(",".join(map(str, [0, 1, *range(3, d + 1)])) + "\n" for d in (32, 64)))
+        squared.clear()
+        rungs = run_campaign(small_config(tmp_path, family="from_file", family_file=str(family)))
+        q_degrees = [[r.q_metrics.degree for r in row.records if not r.is_empty] for row in rungs]
+        assert squared == [32, *q_degrees[0], 64, *q_degrees[1]]
 
     def test_from_file_missing_degree(self, tmp_path):
         family = tmp_path / "family.txt"

@@ -408,6 +408,27 @@ class TestMetrics:
             r = metrics(NewmanPolynomial.all_ones(degree))
             assert r.product == Fraction(degree, degree + 1)
 
+    @given(supports, st.integers(min_value=0, max_value=40))
+    @settings(max_examples=80)
+    def test_height_without_a_square_is_the_squares(self, sup, shift):
+        """Symmetrizing S to S | (c - S), c = min S + max S, and shifting it
+        up (leading zeros below min S) makes a support whose height is l1."""
+        c = min(sup) + max(sup)
+        symmetric = poly_from(shift + e for e in sup | {c - e for e in sup})
+        for p in (poly_from(sup), symmetric):
+            assert metrics(p) == metrics(p, square(p))
+        assert metrics(symmetric).height == symmetric.l1
+
+    def test_a_symmetric_support_is_not_squared(self, monkeypatch):
+        def unreachable(p):
+            raise AssertionError(f"squared degree {p.degree}")
+
+        monkeypatch.setattr(poly, "square", unreachable)
+        assert metrics(NewmanPolynomial.all_ones(2 ** 18)).height == 2 ** 18 + 1
+        assert metrics(NewmanPolynomial.from_support([5, 6, 8, 9])).height == 4
+        with pytest.raises(AssertionError, match="squared degree 3"):
+            metrics(NewmanPolynomial.from_support([0, 1, 3]))
+
     @given(supports)
     @settings(max_examples=60)
     def test_trivial_bound(self, sup):
