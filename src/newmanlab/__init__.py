@@ -23,7 +23,6 @@ from .sparsify import (  # noqa: F401
     SparsifyConfig,
     TrialRecord,
     alpha_of,
-    expectation_oracle,
     pair_counts,
     sample,
     theorem_conclusion_check,

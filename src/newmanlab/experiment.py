@@ -23,7 +23,7 @@ import os
 import sys
 from collections.abc import Iterator, Sequence
 from contextlib import closing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -307,7 +307,7 @@ def parse_campaign_file(path: str, **overrides) -> CampaignConfig:
 
 def record_from_trial(trial: TrialRecord) -> TrialRecord:
     """The trial without its mask: what a campaign keeps."""
-    return TrialRecord(trial.trial_index, trial.trial_seed, trial.q_metrics, trial.flags)
+    return replace(trial, mask=None)
 
 
 def _trial(p: NewmanPolynomial, config: SparsifyConfig, p_square_height: int, t: int) -> TrialRecord:

@@ -6,16 +6,16 @@ exhaustive mode always halves the space using the fact that a polynomial
 and its reversal share every metric used here.  Beyond the exhaustive cap a
 seeded annealing walk over interior bit flips and swaps takes over.
 
-Both modes square through `poly`.  The exhaustive mode takes interior
-patterns a block at a time as the columns of a 0/1 matrix, drops reversal
-duplicates and too-sparse candidates by boolean masks, and squares the
-block with `poly._square_columns`.  Local search squares each restart's
-start once with `poly.square` and then updates that square in O(N) per
-move: flipping coefficient i of p gives (p +- x**i)**2 = p**2 +- 2 x**i p +
-x**(2i), and a swap is two flips.  Apart from that update and the square's
-maximum, a move is constant Python work: the walk reads bits from a list
-and draws swap partners from sorted lists of the interior ones and zeros,
-which change only when a move is accepted.
+The exhaustive mode takes interior patterns a block at a time as the
+columns of a 0/1 matrix, drops reversal duplicates and too-sparse
+candidates by boolean masks, and squares the block with this module's own
+uint8 block square, `_square_columns`.  Local search squares each
+restart's start once with `poly.square` and then updates that square in
+O(N) per move: flipping coefficient i of p gives (p +- x**i)**2 =
+p**2 +- 2 x**i p + x**(2i), and a swap is two flips.  Apart from that
+update and the square's maximum, a move is constant Python work: the walk
+reads bits from a list and draws swap partners from sorted lists of the
+interior ones and zeros, which change only when a move is accepted.
 
 Both modes score a candidate in one place, `_Incumbent.score`, from its
 square height and term count by exact integer comparison; a new incumbent
@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .poly import NewmanPolynomial, RatioReport, _square_columns, format_polynomial, metrics, square
+from .poly import NewmanPolynomial, RatioReport, format_polynomial, metrics, square
 
 __all__ = [
     "EXHAUSTIVE_DEGREE_CAP",
@@ -181,6 +181,23 @@ def _result(table: list[DegreeBest], meta: SearchMetadata) -> SearchResult:
 # Candidates per block of the exhaustive search: bounds its working set
 # (about 3 MiB at the degree cap), so peak memory does not grow with degree.
 _BLOCK = 1 << 13
+
+
+def _square_columns(columns: np.ndarray) -> np.ndarray:
+    """Exact squares of the 0/1 columns of the uint8 matrix `columns`, one
+    column each, as uint8.
+
+    One shifted add of the whole matrix per coefficient:
+    (p**2)[j + k] += p[j] * p[k].  A coefficient of a column's square is at
+    most its term count, so the uint8 sums are exact for at most 255 rows.
+    """
+    n, count = columns.shape
+    sq = np.zeros((2 * n - 1, count), dtype=np.uint8)
+    term = np.empty_like(columns)
+    for j in range(n):
+        np.multiply(columns, columns[j], out=term)
+        sq[j:j + n] += term
+    return sq
 
 
 def exhaustive_search(spec: SearchSpec) -> SearchResult:

@@ -26,9 +26,7 @@ amplification (1+eps)/(1-eps)**2 of the same epsilon, so its verdict
 follows from the flags by exact arithmetic.
 `pair_counts` splits every squared coefficient of p at once into its
 unordered pairs {j, k-j} and its diagonal term, the independent parts that
-thinning keeps with probability alpha**2 and alpha; `expectation_oracle`
-checks the means they give by enumerating every mask of a small p,
-squaring each block of them with `poly._square_columns`.
+thinning keeps with probability alpha**2 and alpha.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .concentration import choose_epsilon, exact_amplification
-from .poly import NewmanPolynomial, RatioReport, _square_columns, metrics, square
+from .poly import NewmanPolynomial, RatioReport, metrics, square
 
 __all__ = [
     "RNG_ALGORITHM",
@@ -53,7 +51,6 @@ __all__ = [
     "alpha_of",
     "sample",
     "pair_counts",
-    "expectation_oracle",
     "verify_hypothesis",
     "theorem_conclusion_check",
 ]
@@ -61,8 +58,6 @@ __all__ = [
 # Recorded in every output manifest; identifies how trial streams are built.
 RNG_ALGORITHM = "numpy-pcg64/seedsequence(entropy=[master_seed,trial_index])"
 
-_ENUMERATION_DEGREE_CAP = 20
-_MASK_BLOCK = 1 << 14
 _MASK_CHUNK = 1 << 16  # uniform floats that `sample` draws at a time
 
 
@@ -215,38 +210,6 @@ def pair_counts(p: NewmanPolynomial, p_square: np.ndarray) -> tuple[np.ndarray, 
     return twice_pairs // 2, diagonal
 
 
-def expectation_oracle(p: NewmanPolynomial, alpha: Fraction) -> tuple[list[Fraction], Fraction]:
-    """Exact E[(q**2)_k] for k = 0..2N, and E[l1(q)], by enumerating every mask.
-
-    Each block of masks is the columns of a 0/1 matrix; the kept
-    polynomials are squared together by `poly._square_columns`, and the
-    squares and masses are totalled by mask weight w.  With alpha = a/b a
-    mask of weight w has probability a**w * (b-a)**(n-w) / b**n over
-    n = N+1 positions, so each mean is finished in integers.  Exponentially slow by design; capped at
-    degree 20.
-    """
-    if p.degree > _ENUMERATION_DEGREE_CAP:
-        raise ValueError(f"mask enumeration capped at degree {_ENUMERATION_DEGREE_CAP}")
-    n = p.degree + 1
-    positions = np.arange(n)
-    # totals[k, w] sums (q**2)_k over the masks of weight w, and the last
-    # row sums their mass: at most 2**21 * 21 < 2**53, so float64 sums are
-    # exact.
-    totals = np.zeros((2 * n, n + 1))
-    for start in range(0, 1 << n, _MASK_BLOCK):
-        masks = np.arange(start, min(start + _MASK_BLOCK, 1 << n))
-        bits = ((masks >> positions[:, None]) & 1).astype(np.uint8)
-        kept = bits & p.coefficients[:, None]
-        by_weight = (bits.sum(axis=0)[:, None] == np.arange(n + 1)).astype(np.float64)
-        totals[:-1] += _square_columns(kept) @ by_weight
-        totals[-1] += kept.sum(axis=0) @ by_weight
-    a, b = alpha.numerator, alpha.denominator
-    odds = [a ** w * (b - a) ** (n - w) for w in range(n + 1)]
-    means = [Fraction(sum(map(int.__mul__, row, odds)), b ** n)
-             for row in totals.astype(np.int64).tolist()]
-    return means[:-1], means[-1]
-
-
 # ---------------------------------------------------------------------------
 # Trials.
 
@@ -290,7 +253,7 @@ def _thin(
         # q ends at its last kept term: len(ones) minus the trailing zeros.
         q = NewmanPolynomial._trusted(q_coeffs[: len(ones) - int(ones[::-1].argmax())])
         q_square = square(q)
-        report = RatioReport(q.l1, q.degree, int(q_square.max()))
+        report = metrics(q, q_square)
         if report.height > cutoffs.height:
             overs = tuple(np.flatnonzero(q_square > cutoffs.height).tolist())
     flags = BadEventFlags(

@@ -22,7 +22,9 @@ from newmanlab.poly import (
     square_oracle,
 )
 from newmanlab.search import SearchSpec, exhaustive_search
-from newmanlab.sparsify import expectation_oracle, pair_counts
+from newmanlab.sparsify import pair_counts
+
+from oracles import expectation_oracle
 
 MASTER_SEED = 20080613
 LADDER = (2 ** 10, 2 ** 14, 2 ** 18)

@@ -1,8 +1,8 @@
 """Public names: every `__all__` entry of every newmanlab module resolves, and so
 does every attribute the benchmark's tracer patches.  Every module-level import
 is read, and importing the CLI leaves the process pool unloaded and loads no
-third-party module but numpy.  The README's library quick tour runs and gives
-the values its comments claim."""
+third-party module but numpy.  Test-only code stays out of the library.  The
+README's library quick tour runs and gives the values its comments claim."""
 
 import ast
 import importlib
@@ -84,6 +84,20 @@ def test_exported_names_are_defined_where_listed():
     assert misplaced == []
     assert newmanlab.TrialRecord is sparsify.TrialRecord
     assert newmanlab.verify_hypothesis is sparsify.verify_hypothesis
+
+
+def test_test_only_code_stays_out_of_the_library():
+    """The mask-enumeration oracle lives in the tests, and the uint8 block
+    square in `search`, its one library caller; no other module imports it."""
+    assert not hasattr(newmanlab, "expectation_oracle")
+    assert not hasattr(newmanlab.sparsify, "expectation_oracle")
+    assert not hasattr(newmanlab.poly, "_square_columns")
+    importers = []
+    for name in MODULES:
+        tree = ast.parse((Path(newmanlab.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
+        importers += [name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names if alias.name == "_square_columns"]
+    assert importers == []
 
 
 def test_benchmark_trace_points_resolve():

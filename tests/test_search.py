@@ -8,12 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import newmanlab.search
-from newmanlab.poly import NewmanPolynomial, RatioReport, _square_columns, metrics, square_oracle
+from newmanlab.poly import NewmanPolynomial, RatioReport, metrics, square_oracle
 from newmanlab.search import (
     SearchMetadata,
     SearchSpec,
     _flip,
     _Incumbent,
+    _square_columns,
     exhaustive_search,
     local_search,
 )

@@ -26,13 +26,14 @@ from newmanlab.sparsify import (
     SparsifyConfig,
     TrialRecord,
     alpha_of,
-    expectation_oracle,
     pair_counts,
     sample,
     theorem_conclusion_check,
     verify_hypothesis,
 )
 from newmanlab.sparsify import _Cutoffs, _thin
+
+from oracles import expectation_oracle
 
 RHO = Fraction(8, 9)
 RHO_PRIME = Fraction(19, 20)
@@ -237,8 +238,8 @@ class TestExpectations:
         def no_square(*args, **kwargs):
             raise AssertionError("the oracle used a squaring routine")
 
-        monkeypatch.setattr(newmanlab.sparsify, "square", no_square)
         monkeypatch.setattr(newmanlab.poly, "square", no_square)
+        monkeypatch.setattr(newmanlab.poly, "square_oracle", no_square)
         monkeypatch.setattr(newmanlab.sparsify, "pair_counts", no_square)
         assert expectation_oracle(p, alpha) == (formula, alpha * 3)
 
